@@ -25,7 +25,6 @@ use std::fmt;
 
 /// The shared MUX select signal `S`: which distance the array evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MatchMode {
     /// `S = 1`: cell matches if any of `O_L`, `O_C`, `O_R` matched (ED\*).
     #[default]
@@ -146,14 +145,14 @@ impl SearchOutcome {
 ///
 /// ```
 /// use asmcap_arch::{CamArray, MatchMode};
-/// use asmcap_genome::DnaSeq;
+/// use asmcap_genome::{DnaSeq, PackedSeq};
 ///
 /// let mut array = CamArray::asmcap(4, 8);
 /// array.store_row("ACGTACGT".parse::<DnaSeq>()?.as_slice())?;
 /// array.store_row("TTTTTTTT".parse::<DnaSeq>()?.as_slice())?;
 /// let mut rng = asmcap_circuit::rng(1);
-/// let read: DnaSeq = "ACGTACGA".parse()?;
-/// let outcome = array.search(read.as_slice(), 2, MatchMode::EdStar, &mut rng);
+/// let read = PackedSeq::from_seq(&"ACGTACGA".parse()?);
+/// let outcome = array.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
 /// assert_eq!(outcome.matched_rows(), vec![0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -335,186 +334,113 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         }
     }
 
-    /// One in-array search: all occupied rows compare against `read` in
-    /// parallel; each matchline is sensed against `V_ref(threshold)`.
+    /// One in-array search: the read is broadcast on the searchlines and
+    /// each enabled matchline is sensed against `V_ref(threshold)`.
     ///
-    /// Packs the read once and forwards to [`CamArray::search_packed`].
+    /// `rows` is the controller's row-mask gating: `None` senses every
+    /// occupied row, `Some(list)` only the listed rows. Either way each
+    /// sensed row runs the word-parallel digital pre-pass (its exact
+    /// `n_mis`) and then the analog sense, in ascending row order, so the
+    /// noise stream `rng` is drawn exactly as a full search would reach
+    /// those rows, and listing every row is byte-identical to `None`. The
+    /// energy model is charged for the sensed rows only — unlisted
+    /// matchlines stay pre-charged and untouched.
     ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the array width or HD mode is
-    /// requested on hardware without the HD MUX.
-    #[must_use]
-    pub fn search(
-        &self,
-        read: &[Base],
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> SearchOutcome {
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.search_packed(&PackedSeq::from_bases(read), threshold, mode, rng)
-    }
-
-    /// [`CamArray::search`] over an already packed read: the digital
-    /// pre-pass computes every row's exact `n_mis` word-parallel, then the
-    /// analog stage senses each count in row order (so the noise stream
-    /// consumes RNG draws exactly as the per-cell walk did).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search`].
-    #[must_use]
-    pub fn search_packed(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> SearchOutcome {
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        // Per row: the digital comparison (exact matchline encoding, no
-        // noise involved) followed by the analog sense against
-        // V_ref(threshold). Counting draws nothing from the RNG, so fusing
-        // the two stages row-by-row keeps the noise stream identical to a
-        // separate pre-pass while avoiding an intermediate counts buffer.
-        let rows: Vec<RowSearchOutcome> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(row, stored)| {
-                let n_mis = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let matched = self.sense.decide(n_mis, self.width, threshold, rng);
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        let mean = if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
-        };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(self.rows.len(), self.width, mean);
-        SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
-        }
-    }
-
-    /// [`CamArray::search_packed`] over a **batch** of reads in one array
-    /// pass: the software model of the paper's pipelined global buffer,
-    /// which drains a queue of latched reads against this array's rows
-    /// while the buffer stages the next array — so a multi-array device
-    /// touches each array's row store once per batch instead of once per
-    /// read (see [`crate::AsmcapDevice::search_packed_batch`]).
-    ///
-    /// Every read draws its sensing noise from its **own** RNG stream
-    /// `rngs[i]`, visiting rows in exactly the order
-    /// [`CamArray::search_packed`] would — so the outcome for read `i` is
-    /// byte-identical to `search_packed(&reads[i], …, &mut rngs[i])` run
-    /// on its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads` and `rngs` lengths differ, any read width differs
-    /// from the array width, or HD mode is requested on hardware without
-    /// the HD MUX.
-    #[must_use]
-    pub fn search_packed_batch(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        rngs: &mut [Rng],
-    ) -> Vec<SearchOutcome> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        // Read-major over one array keeps this array's (small) row store
-        // cache-hot across the whole queue while each read's outcome rows
-        // fill contiguously; the per-read row order — and therefore the
-        // noise stream — is exactly the sequential search's.
-        reads
-            .iter()
-            .zip(rngs.iter_mut())
-            .map(|(read, rng)| self.search_packed(read, threshold, mode, rng))
-            .collect()
-    }
-
-    /// [`CamArray::search_packed`] restricted to a shortlist of rows: the
-    /// controller's row-mask gating. Only the listed rows run the digital
-    /// pre-pass and draw sensing noise (in ascending row order, exactly the
-    /// order a full search would reach them), and the energy model is
-    /// charged for the sensed rows only — unlisted matchlines stay
-    /// pre-charged and untouched.
-    ///
-    /// Searching with every row listed is byte-identical to
-    /// [`CamArray::search_packed`], RNG draws included.
+    /// `fault` is the read's dedicated fault stream and the tally its
+    /// mitigations accumulate into. The fault model applies when faults
+    /// are installed ([`CamArray::install_faults`]); without them the
+    /// stream is ignored and the search is the fault-free one.
     ///
     /// # Panics
     ///
     /// Panics if the read width differs from the array width, HD mode is
     /// requested on hardware without the HD MUX, `rows` is not strictly
-    /// ascending, or a listed row is unoccupied.
+    /// ascending, a listed row is unoccupied, or faults are installed and
+    /// `fault` is `None`.
     #[must_use]
-    pub fn search_packed_rows(
+    pub fn search(
         &self,
         read: &PackedSeq,
         threshold: usize,
         mode: MatchMode,
-        rows: &[usize],
+        rows: Option<&[usize]>,
         rng: &mut Rng,
+        fault: Option<(&mut Rng, &mut FaultTally)>,
     ) -> SearchOutcome {
         assert_eq!(read.len(), self.width, "read must match the array width");
         self.check_mode(mode);
-        assert!(
-            rows.windows(2).all(|pair| pair[0] < pair[1]),
-            "row shortlist must be strictly ascending"
-        );
-        let rows: Vec<RowSearchOutcome> = rows
-            .iter()
-            .map(|&row| {
-                let stored = &self.rows[row];
-                let n_mis = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let matched = self.sense.decide(n_mis, self.width, threshold, rng);
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        let mean = if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
+        let outcomes = match rows {
+            None => self.sense_rows(
+                self.rows.iter().enumerate(),
+                read,
+                threshold,
+                mode,
+                rng,
+                fault,
+            ),
+            Some(list) => {
+                assert!(
+                    list.windows(2).all(|pair| pair[0] < pair[1]),
+                    "row shortlist must be strictly ascending"
+                );
+                self.sense_rows(
+                    list.iter().map(|&row| (row, &self.rows[row])),
+                    read,
+                    threshold,
+                    mode,
+                    rng,
+                    fault,
+                )
+            }
         };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(rows.len(), self.width, mean);
-        SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
+        self.finish_outcome(outcomes, mode, threshold)
+    }
+
+    /// The per-row body of [`CamArray::search`]: the fault branch is picked
+    /// once from the installed state, then each row's digital count is
+    /// sensed in the order `rows` yields them.
+    fn sense_rows<'a>(
+        &'a self,
+        rows: impl Iterator<Item = (usize, &'a PackedSeq)>,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        rng: &mut Rng,
+        fault: Option<(&mut Rng, &mut FaultTally)>,
+    ) -> Vec<RowSearchOutcome> {
+        let count = |stored: &PackedSeq| match mode {
+            MatchMode::EdStar => ed_star_packed(stored, read),
+            MatchMode::Hamming => hamming_packed(stored, read),
+        };
+        match (&self.faults, fault) {
+            // Counting draws nothing from the RNG, so fusing the digital
+            // pre-pass with the sense row by row keeps the noise stream
+            // identical to a separate pre-pass without a counts buffer.
+            (None, _) => rows
+                .map(|(row, stored)| {
+                    let n_mis = count(stored);
+                    let matched = self.sense.decide(n_mis, self.width, threshold, rng);
+                    RowSearchOutcome {
+                        row,
+                        n_mis,
+                        matched,
+                    }
+                })
+                .collect(),
+            (Some(faults), Some((fault_rng, tally))) => rows
+                .map(|(row, stored)| {
+                    let n_true = count(stored);
+                    let (n_mis, matched) = self.sense_row_faulty(
+                        faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
+                    );
+                    RowSearchOutcome {
+                        row,
+                        n_mis,
+                        matched,
+                    }
+                })
+                .collect(),
+            (Some(_), None) => panic!("a faulted array needs the read's fault stream"),
         }
     }
 
@@ -644,99 +570,6 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         (n_eff, decision)
     }
 
-    /// [`CamArray::search_packed`] through the installed fault model.
-    /// With no faults installed this forwards to the fault-free path and
-    /// is byte-identical to it; `fault_rng` is the read's dedicated fault
-    /// stream and `tally` accumulates the mitigation counters.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search_packed`].
-    #[must_use]
-    pub fn search_packed_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-        tally: &mut FaultTally,
-    ) -> SearchOutcome {
-        let Some(faults) = &self.faults else {
-            return self.search_packed(read, threshold, mode, rng);
-        };
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        let rows: Vec<RowSearchOutcome> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(row, stored)| {
-                let n_true = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let (n_mis, matched) = self.sense_row_faulty(
-                    faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
-                );
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        self.finish_outcome(rows, mode, threshold)
-    }
-
-    /// [`CamArray::search_packed_rows`] through the installed fault model
-    /// (see [`CamArray::search_packed_with_faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search_packed_rows`].
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // mirrors search_packed_rows + the fault triple
-    pub fn search_packed_rows_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rows: &[usize],
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-        tally: &mut FaultTally,
-    ) -> SearchOutcome {
-        let Some(faults) = &self.faults else {
-            return self.search_packed_rows(read, threshold, mode, rows, rng);
-        };
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        assert!(
-            rows.windows(2).all(|pair| pair[0] < pair[1]),
-            "row shortlist must be strictly ascending"
-        );
-        let rows: Vec<RowSearchOutcome> = rows
-            .iter()
-            .map(|&row| {
-                let stored = &self.rows[row];
-                let n_true = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let (n_mis, matched) = self.sense_row_faulty(
-                    faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
-                );
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        self.finish_outcome(rows, mode, threshold)
-    }
-
     fn finish_outcome(
         &self,
         rows: Vec<RowSearchOutcome>,
@@ -839,8 +672,8 @@ mod tests {
                 .unwrap();
         }
         let mut rng = rng(2);
-        let read = &genome.as_slice()[80..112]; // row 2's segment
-        let outcome = array.search(read, 0, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_bases(&genome.as_slice()[80..112]); // row 2's segment
+        let outcome = array.search(&read, 0, MatchMode::EdStar, None, &mut rng, None);
         assert_eq!(outcome.matched_rows(), vec![2]);
         assert_eq!(outcome.rows[2].n_mis, 0);
     }
@@ -851,7 +684,8 @@ mod tests {
         array.store_row(seq("ACGTACGT").as_slice()).unwrap();
         let mut rng = rng(3);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            array.search(seq("ACGTACGT").as_slice(), 1, MatchMode::Hamming, &mut rng)
+            let read = PackedSeq::from_seq(&seq("ACGTACGT"));
+            array.search(&read, 1, MatchMode::Hamming, None, &mut rng, None)
         }));
         assert!(result.is_err());
     }
@@ -869,9 +703,9 @@ mod tests {
                 .unwrap();
         }
         let mut rng = rng(4);
-        let read = &genome.as_slice()[60..92];
-        let a = asmcap.search(read, 2, MatchMode::EdStar, &mut rng);
-        let e = edam.search(read, 2, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_bases(&genome.as_slice()[60..92]);
+        let a = asmcap.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
+        let e = edam.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
         assert!(a.energy_j > 0.0);
         assert!(
             e.energy_j > a.energy_j,
@@ -892,21 +726,27 @@ mod tests {
             .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 300..i * 300 + 64)))
             .collect();
         for mode in [MatchMode::EdStar, MatchMode::Hamming] {
+            // The device's array-major drain: the queue shares this array,
+            // each read on its own stream.
             let mut batch_rngs: Vec<_> = (0..5).map(|i| rng(100 + i)).collect();
-            let batched = array.search_packed_batch(&reads, 2, mode, &mut batch_rngs);
+            let batched: Vec<SearchOutcome> = reads
+                .iter()
+                .zip(&mut batch_rngs)
+                .map(|(read, r)| array.search(read, 2, mode, None, r, None))
+                .collect();
             for (i, read) in reads.iter().enumerate() {
                 let mut solo_rng = rng(100 + i as u64);
-                let solo = array.search_packed(read, 2, mode, &mut solo_rng);
+                let solo = array.search(read, 2, mode, None, &mut solo_rng, None);
                 assert_eq!(batched[i], solo, "read {i} diverged in {mode} mode");
             }
             // The RNG streams stayed in lockstep with the sequential path:
             // a follow-up search from each stream agrees too.
             for (i, read) in reads.iter().enumerate() {
                 let mut solo_rng = rng(100 + i as u64);
-                let _ = array.search_packed(read, 2, mode, &mut solo_rng);
+                let _ = array.search(read, 2, mode, None, &mut solo_rng, None);
                 assert_eq!(
-                    array.search_packed(read, 5, mode, &mut batch_rngs[i]),
-                    array.search_packed(read, 5, mode, &mut solo_rng),
+                    array.search(read, 5, mode, None, &mut batch_rngs[i], None),
+                    array.search(read, 5, mode, None, &mut solo_rng, None),
                     "stream {i} fell out of lockstep"
                 );
             }
@@ -960,21 +800,21 @@ mod tests {
         let mut plain_rng = rng(42);
         let mut fault_path_rng = rng(42);
         let mut fault_rng = FaultPlan::none().read_fault_rng(42);
-        let plain = array.search_packed(&read, 6, MatchMode::EdStar, &mut plain_rng);
-        let faulted = array.search_packed_with_faults(
+        let plain = array.search(&read, 6, MatchMode::EdStar, None, &mut plain_rng, None);
+        let faulted = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut fault_path_rng,
-            &mut fault_rng,
-            &mut tally,
+            Some((&mut fault_rng, &mut tally)),
         );
         assert_eq!(plain, faulted);
         assert_eq!(tally, FaultTally::default());
         // The main stream consumed identically on both paths.
         assert_eq!(
-            array.search_packed(&read, 6, MatchMode::EdStar, &mut plain_rng),
-            array.search_packed(&read, 6, MatchMode::EdStar, &mut fault_path_rng),
+            array.search(&read, 6, MatchMode::EdStar, None, &mut plain_rng, None),
+            array.search(&read, 6, MatchMode::EdStar, None, &mut fault_path_rng, None),
         );
     }
 
@@ -992,21 +832,21 @@ mod tests {
             .unwrap();
         let mut tally_a = FaultTally::default();
         let mut tally_b = FaultTally::default();
-        let out_a = a.search_packed_with_faults(
+        let out_a = a.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(77),
-            &mut plan.read_fault_rng(77),
-            &mut tally_a,
+            Some((&mut plan.read_fault_rng(77), &mut tally_a)),
         );
-        let out_b = b.search_packed_with_faults(
+        let out_b = b.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(77),
-            &mut plan.read_fault_rng(77),
-            &mut tally_b,
+            Some((&mut plan.read_fault_rng(77), &mut tally_b)),
         );
         assert_eq!(out_a, out_b);
         assert_eq!(tally_a, tally_b);
@@ -1039,13 +879,13 @@ mod tests {
             use rand::Rng as _;
             probe.gen()
         };
-        let out = array.search_packed_with_faults(
+        let out = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut main,
-            &mut plan.read_fault_rng(5),
-            &mut tally,
+            Some((&mut plan.read_fault_rng(5), &mut tally)),
         );
         // Exact digital answers: row 7 matches itself, all else by count.
         assert!(out.rows[7].matched);
@@ -1091,22 +931,21 @@ mod tests {
         let all_rows: Vec<usize> = (0..array.rows()).collect();
         let mut tally_full = FaultTally::default();
         let mut tally_masked = FaultTally::default();
-        let full = array.search_packed_with_faults(
+        let full = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(9),
-            &mut plan.read_fault_rng(9),
-            &mut tally_full,
+            Some((&mut plan.read_fault_rng(9), &mut tally_full)),
         );
-        let masked = array.search_packed_rows_with_faults(
+        let masked = array.search(
             &read,
             6,
             MatchMode::EdStar,
-            &all_rows,
+            Some(&all_rows),
             &mut rng(9),
-            &mut plan.read_fault_rng(9),
-            &mut tally_masked,
+            Some((&mut plan.read_fault_rng(9), &mut tally_masked)),
         );
         assert_eq!(full, masked, "full row list must be byte-identical");
         assert_eq!(tally_full, tally_masked);

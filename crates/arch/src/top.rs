@@ -9,7 +9,7 @@
 use crate::array::{CamArray, MatchMode, SearchEnergy};
 use crate::fault::{FaultPlan, FaultTally};
 use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng};
-use asmcap_genome::{Base, DnaSeq, PackedRef, PackedSeq, PackedWords as _};
+use asmcap_genome::{DnaSeq, PackedRef, PackedSeq, PackedWords as _};
 use std::fmt;
 
 /// A bitset over the device's stored rows (flat storage order), selecting
@@ -17,8 +17,8 @@ use std::fmt;
 ///
 /// This is the software model of the controller's row gating: the k-mer
 /// prefilter shortlists candidate segment origins, [`AsmcapDevice::mask_for_origins`]
-/// turns them into a mask, and [`AsmcapDevice::search_packed_masked`] drives
-/// only the masked-in matchlines.
+/// turns them into a mask, and [`AsmcapDevice::search`] drives only the
+/// masked-in matchlines.
 ///
 /// # Examples
 ///
@@ -431,209 +431,75 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         Ok(starts.len())
     }
 
-    /// The genome origin of a stored row.
-    #[must_use]
-    pub fn origin_of(&self, id: RowId) -> Option<usize> {
-        let flat: usize = self
-            .arrays
-            .iter()
-            .take(id.array)
-            .map(CamArray::rows)
-            .sum::<usize>()
-            + id.row;
-        self.origins.get(flat).copied()
-    }
-
-    /// Broadcasts `read` to every array and senses all matchlines at
-    /// threshold `T` in `mode`. One search operation in hardware.
+    /// One search operation per read: the global buffer latches the read
+    /// queue once, each read is broadcast to every array, and each array
+    /// senses its enabled matchlines at threshold `T` in `mode`.
     ///
-    /// Packs the read once and forwards to [`AsmcapDevice::search_packed`].
+    /// The drain is **array-major** — the software model of the paper's
+    /// pipelined global buffer: the buffer stages one array, every queued
+    /// read senses that array's rows, then the buffer moves on. Read `i`
+    /// draws all sensing noise from `rngs[i]`, visiting arrays in index
+    /// order and rows in row order, so its result is byte-identical to a
+    /// batch of one holding just that read — matches, energy, and RNG
+    /// stream state included. A per-read search is a batch of one.
+    ///
+    /// `masks[i]` (flat storage order, see [`AsmcapDevice::mask_for_origins`])
+    /// gates read `i` to its masked-in rows; `None` senses every stored
+    /// row, exactly like [`RowMask::full`]. Arrays with no masked-in row
+    /// for a read issue no search operation and burn no energy for it.
+    ///
+    /// `fault_rngs[i]` is read `i`'s dedicated fault stream: each array
+    /// senses through its installed fault model and the result's stats
+    /// carry the `resensed`/`requarried` mitigation counters.
     ///
     /// # Panics
     ///
-    /// Panics if the read width differs from the row width.
+    /// Panics if `reads`, `rngs`, and (when given) `masks` and
+    /// `fault_rngs` lengths differ; if any read width differs from the row
+    /// width; if a mask does not cover exactly the stored rows; or if
+    /// `fault_rngs` is given without faults installed, or missing with
+    /// faults installed — a faulted device is never searched fault-free by
+    /// accident.
     #[must_use]
     pub fn search(
         &self,
-        read: &[Base],
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        self.search_packed(&PackedSeq::from_bases(read), threshold, mode, rng)
-    }
-
-    /// [`AsmcapDevice::search`] over an already packed read: the global
-    /// buffer latches the packed word stream once and every array runs its
-    /// digital pre-pass + analog sense split on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the row width.
-    #[must_use]
-    pub fn search_packed(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let outcome = array.search_packed(read, threshold, mode, rng);
-            energy += outcome.energy_j;
-            searches += 1;
-            latency = latency.max(array.sense().cam().search_time_s());
-            for row in &outcome.rows {
-                if row.matched {
-                    let id = RowId {
-                        array: array_idx,
-                        row: row.row,
-                    };
-                    matches.push(DeviceMatch {
-                        id,
-                        origin: self.origins[flat_base + row.row],
-                        n_mis: row.n_mis,
-                    });
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                ..SearchStats::default()
-            },
-        }
-    }
-
-    /// [`AsmcapDevice::search_packed`] over a **batch** of reads: the
-    /// global buffer latches the whole read queue once and every array
-    /// drains it in one pass ([`CamArray::search_packed_batch`]) before
-    /// the buffer stages the next array — the software model of the
-    /// paper's pipelined global buffer, and the batch surface the
-    /// device-backend batching work builds on. (In this software model
-    /// the sense-amplifier noise draws dominate row fetches, so the pass
-    /// reordering is about modeling and API shape, not host speed — see
-    /// the `device_batch_search` bench.)
-    ///
-    /// Read `i` draws all sensing noise from `rngs[i]`, visiting arrays
-    /// and rows in exactly the order [`AsmcapDevice::search_packed`]
-    /// would, so `results[i]` is **byte-identical** to
-    /// `search_packed(&reads[i], …, &mut rngs[i])` run on its own —
-    /// matches, energy, and RNG stream state included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads` and `rngs` lengths differ or any read width
-    /// differs from the row width.
-    #[must_use]
-    pub fn search_packed_batch(
-        &self,
         reads: &[PackedSeq],
         threshold: usize,
         mode: MatchMode,
+        masks: Option<&[RowMask]>,
         rngs: &mut [Rng],
+        mut fault_rngs: Option<&mut [Rng]>,
     ) -> Vec<DeviceSearchResult> {
         assert_eq!(
             reads.len(),
             rngs.len(),
             "one sensing RNG stream per batched read"
         );
-        let mut results: Vec<DeviceSearchResult> = reads
-            .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let outcomes = array.search_packed_batch(reads, threshold, mode, rngs);
-            for (result, outcome) in results.iter_mut().zip(outcomes) {
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        results
-    }
-
-    /// [`AsmcapDevice::search_packed_batch`] under per-read row masks:
-    /// read `i` senses only the rows `masks[i]` selects, drawing noise in
-    /// the same order [`AsmcapDevice::search_packed_masked`] would — so
-    /// `results[i]` is byte-identical to
-    /// `search_packed_masked(&reads[i], …, &masks[i], &mut rngs[i])` run
-    /// on its own. Arrays with no masked-in row for a read issue no search
-    /// operation and burn no energy for that read.
-    ///
-    /// Like the unmasked batch, the drain is **array-major**: the global
-    /// buffer stages one array, every queued read senses its masked-in
-    /// rows of that array, then the buffer moves on — the pipelined
-    /// global-buffer model the serving coalescer batches for. Per read
-    /// the arrays are still visited in index order and rows in row order,
-    /// which is exactly the sequential masked walk's draw order, so the
-    /// reordering cannot change any result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads`, `masks`, and `rngs` lengths differ, any read
-    /// width differs from the row width, or a mask does not cover exactly
-    /// the stored rows.
-    #[must_use]
-    pub fn search_packed_batch_masked(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        masks: &[RowMask],
-        rngs: &mut [Rng],
-    ) -> Vec<DeviceSearchResult> {
         assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
+            fault_rngs.is_some(),
+            self.has_faults(),
+            "fault streams are required exactly when faults are installed"
         );
-        assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-        for (read, mask) in reads.iter().zip(masks) {
-            assert_eq!(read.len(), self.width, "read must match the row width");
+        if let Some(fault_rngs) = &fault_rngs {
             assert_eq!(
-                mask.len(),
-                self.origins.len(),
-                "mask must cover the stored rows"
+                reads.len(),
+                fault_rngs.len(),
+                "one fault RNG stream per batched read"
             );
         }
+        for read in reads {
+            assert_eq!(read.len(), self.width, "read must match the row width");
+        }
+        if let Some(masks) = masks {
+            assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
+            for mask in masks {
+                assert_eq!(
+                    mask.len(),
+                    self.origins.len(),
+                    "mask must cover the stored rows"
+                );
+            }
+        }
         let mut results: Vec<DeviceSearchResult> = reads
             .iter()
             .map(|_| DeviceSearchResult {
@@ -641,30 +507,41 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
                 stats: SearchStats::default(),
             })
             .collect();
+        let mut rows: Vec<usize> = Vec::new();
         let mut flat_base = 0usize;
         for (array_idx, array) in self.arrays.iter().enumerate() {
             if array.rows() == 0 {
                 continue;
             }
-            for ((read, mask), (result, rng)) in reads
-                .iter()
-                .zip(masks)
-                .zip(results.iter_mut().zip(rngs.iter_mut()))
-            {
-                let rows: Vec<usize> = mask
-                    .ones_in(flat_base..flat_base + array.rows())
-                    .map(|flat| flat - flat_base)
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                let outcome = array.search_packed_rows(read, threshold, mode, &rows, rng);
+            for (i, (read, result)) in reads.iter().zip(&mut results).enumerate() {
+                let listed = match masks {
+                    None => None,
+                    Some(masks) => {
+                        rows.clear();
+                        rows.extend(
+                            masks[i]
+                                .ones_in(flat_base..flat_base + array.rows())
+                                .map(|flat| flat - flat_base),
+                        );
+                        if rows.is_empty() {
+                            continue;
+                        }
+                        Some(rows.as_slice())
+                    }
+                };
+                let mut tally = FaultTally::default();
+                let fault = fault_rngs
+                    .as_deref_mut()
+                    .map(|fault_rngs| (&mut fault_rngs[i], &mut tally));
+                let outcome = array.search(read, threshold, mode, listed, &mut rngs[i], fault);
                 result.stats.energy_j += outcome.energy_j;
                 result.stats.array_searches += 1;
                 result.stats.latency_s = result
                     .stats
                     .latency_s
                     .max(array.sense().cam().search_time_s());
+                result.stats.resensed += tally.resensed;
+                result.stats.requarried += tally.requarried;
                 for row in &outcome.rows {
                     if row.matched {
                         result.matches.push(DeviceMatch {
@@ -715,390 +592,12 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         }
         mask
     }
-
-    /// [`AsmcapDevice::search_packed`] under a row mask: the controller
-    /// broadcasts the read, but only masked-in rows run the digital
-    /// pre-pass and are sensed (each array senses its masked rows in row
-    /// order, so the noise stream for the rows actually sensed is drawn in
-    /// the same order a full search would draw it). Arrays with no
-    /// masked-in row issue no search operation and burn no energy.
-    ///
-    /// Searching under [`RowMask::full`] is byte-identical to
-    /// [`AsmcapDevice::search_packed`], RNG draws included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the row width or the mask
-    /// does not cover exactly the stored rows.
-    #[must_use]
-    pub fn search_packed_masked(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        mask: &RowMask,
-        rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        assert_eq!(
-            mask.len(),
-            self.origins.len(),
-            "mask must cover the stored rows"
-        );
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let rows: Vec<usize> = mask
-                .ones_in(flat_base..flat_base + array.rows())
-                .map(|flat| flat - flat_base)
-                .collect();
-            if !rows.is_empty() {
-                let outcome = array.search_packed_rows(read, threshold, mode, &rows, rng);
-                energy += outcome.energy_j;
-                searches += 1;
-                latency = latency.max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        let id = RowId {
-                            array: array_idx,
-                            row: row.row,
-                        };
-                        matches.push(DeviceMatch {
-                            id,
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                ..SearchStats::default()
-            },
-        }
-    }
-
-    /// [`AsmcapDevice::search_packed`] through each array's installed
-    /// fault model: `fault_rng` is this read's dedicated fault stream and
-    /// the result's stats carry the `resensed`/`requarried` mitigation
-    /// counters. With no faults installed the walk is byte-identical to
-    /// the fault-free path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`AsmcapDevice::search_packed`].
-    #[must_use]
-    pub fn search_packed_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut tally = FaultTally::default();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let outcome =
-                array.search_packed_with_faults(read, threshold, mode, rng, fault_rng, &mut tally);
-            energy += outcome.energy_j;
-            searches += 1;
-            latency = latency.max(array.sense().cam().search_time_s());
-            for row in &outcome.rows {
-                if row.matched {
-                    matches.push(DeviceMatch {
-                        id: RowId {
-                            array: array_idx,
-                            row: row.row,
-                        },
-                        origin: self.origins[flat_base + row.row],
-                        n_mis: row.n_mis,
-                    });
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                resensed: tally.resensed,
-                requarried: tally.requarried,
-            },
-        }
-    }
-
-    /// [`AsmcapDevice::search_packed_masked`] through the fault model
-    /// (see [`AsmcapDevice::search_packed_with_faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`AsmcapDevice::search_packed_masked`].
-    #[must_use]
-    pub fn search_packed_masked_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        mask: &RowMask,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        assert_eq!(
-            mask.len(),
-            self.origins.len(),
-            "mask must cover the stored rows"
-        );
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut tally = FaultTally::default();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let rows: Vec<usize> = mask
-                .ones_in(flat_base..flat_base + array.rows())
-                .map(|flat| flat - flat_base)
-                .collect();
-            if !rows.is_empty() {
-                let outcome = array.search_packed_rows_with_faults(
-                    read, threshold, mode, &rows, rng, fault_rng, &mut tally,
-                );
-                energy += outcome.energy_j;
-                searches += 1;
-                latency = latency.max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                resensed: tally.resensed,
-                requarried: tally.requarried,
-            },
-        }
-    }
-
-    /// [`AsmcapDevice::search_packed_batch`] through the fault model:
-    /// read `i` draws sensing noise from `rngs[i]` and fault events from
-    /// `fault_rngs[i]`, visiting arrays and rows in exactly the order
-    /// [`AsmcapDevice::search_packed_with_faults`] would — so
-    /// `results[i]` is byte-identical to the solo faulted search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads`, `rngs`, and `fault_rngs` lengths differ or any
-    /// read width differs from the row width.
-    #[must_use]
-    pub fn search_packed_batch_with_faults(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        rngs: &mut [Rng],
-        fault_rngs: &mut [Rng],
-    ) -> Vec<DeviceSearchResult> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        assert_eq!(
-            reads.len(),
-            fault_rngs.len(),
-            "one fault RNG stream per batched read"
-        );
-        let mut results: Vec<DeviceSearchResult> = reads
-            .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            for (i, read) in reads.iter().enumerate() {
-                let mut tally = FaultTally::default();
-                let outcome = array.search_packed_with_faults(
-                    read,
-                    threshold,
-                    mode,
-                    &mut rngs[i],
-                    &mut fault_rngs[i],
-                    &mut tally,
-                );
-                let result = &mut results[i];
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                result.stats.resensed += tally.resensed;
-                result.stats.requarried += tally.requarried;
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        results
-    }
-
-    /// [`AsmcapDevice::search_packed_batch_masked`] through the fault
-    /// model (see [`AsmcapDevice::search_packed_batch_with_faults`]):
-    /// `results[i]` is byte-identical to
-    /// `search_packed_masked_with_faults(&reads[i], …, &masks[i], …)` run
-    /// on its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads`, `masks`, `rngs`, and `fault_rngs` lengths
-    /// differ, any read width differs from the row width, or a mask does
-    /// not cover exactly the stored rows.
-    #[must_use]
-    pub fn search_packed_batch_masked_with_faults(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        masks: &[RowMask],
-        rngs: &mut [Rng],
-        fault_rngs: &mut [Rng],
-    ) -> Vec<DeviceSearchResult> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        assert_eq!(
-            reads.len(),
-            fault_rngs.len(),
-            "one fault RNG stream per batched read"
-        );
-        assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-        for (read, mask) in reads.iter().zip(masks) {
-            assert_eq!(read.len(), self.width, "read must match the row width");
-            assert_eq!(
-                mask.len(),
-                self.origins.len(),
-                "mask must cover the stored rows"
-            );
-        }
-        let mut results: Vec<DeviceSearchResult> = reads
-            .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            for (i, (read, mask)) in reads.iter().zip(masks).enumerate() {
-                let rows: Vec<usize> = mask
-                    .ones_in(flat_base..flat_base + array.rows())
-                    .map(|flat| flat - flat_base)
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                let mut tally = FaultTally::default();
-                let outcome = array.search_packed_rows_with_faults(
-                    read,
-                    threshold,
-                    mode,
-                    &rows,
-                    &mut rngs[i],
-                    &mut fault_rngs[i],
-                    &mut tally,
-                );
-                let result = &mut results[i];
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                result.stats.resensed += tally.resensed;
-                result.stats.requarried += tally.requarried;
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        results
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use asmcap_circuit::rng;
     use asmcap_genome::GenomeModel;
 
@@ -1108,6 +607,29 @@ mod tests {
             .rows_per_array(16)
             .row_width(64)
             .build_asmcap()
+    }
+
+    /// A batch of one through [`AsmcapDevice::search`].
+    fn search_one<M: MlCam + SearchEnergy>(
+        device: &AsmcapDevice<M>,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        mask: Option<&RowMask>,
+        rng: &mut Rng,
+        fault_rng: Option<&mut Rng>,
+    ) -> DeviceSearchResult {
+        device
+            .search(
+                std::slice::from_ref(read),
+                threshold,
+                mode,
+                mask.map(std::slice::from_ref),
+                std::slice::from_mut(rng),
+                fault_rng.map(std::slice::from_mut),
+            )
+            .pop()
+            .expect("one result per read")
     }
 
     #[test]
@@ -1152,8 +674,8 @@ mod tests {
         device.store_reference(&genome, 16).unwrap();
         let mut rng = rng(11);
         // Read taken exactly at row 20's origin = 20 * 16 = 320.
-        let read = genome.window(320..384);
-        let result = device.search(read.as_slice(), 0, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_seq(&genome.window(320..384));
+        let result = search_one(&device, &read, 0, MatchMode::EdStar, None, &mut rng, None);
         assert!(
             result
                 .matches
@@ -1168,37 +690,47 @@ mod tests {
     }
 
     #[test]
-    fn origin_of_maps_row_ids() {
-        let mut device = small_device();
-        let genome = GenomeModel::uniform().generate(offset_len(20, 64, 64), 9);
-        device.store_reference(&genome, 64).unwrap();
-        assert_eq!(device.origin_of(RowId { array: 0, row: 3 }), Some(192));
-        assert_eq!(
-            device.origin_of(RowId { array: 1, row: 2 }),
-            Some((16 + 2) * 64)
-        );
-        assert_eq!(device.origin_of(RowId { array: 3, row: 0 }), None);
-    }
-
-    #[test]
     fn full_mask_search_is_byte_identical_to_unmasked() {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 15);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
+        let read = PackedSeq::from_seq(&genome.window(320..384));
         let mask = RowMask::full(device.stored_rows());
         for t in [0usize, 2, 6] {
             let mut rng_a = rng(21);
             let mut rng_b = rng(21);
-            let full = device.search_packed(&read, t, MatchMode::EdStar, &mut rng_a);
-            let masked =
-                device.search_packed_masked(&read, t, MatchMode::EdStar, &mask, &mut rng_b);
+            let full = search_one(&device, &read, t, MatchMode::EdStar, None, &mut rng_a, None);
+            let masked = search_one(
+                &device,
+                &read,
+                t,
+                MatchMode::EdStar,
+                Some(&mask),
+                &mut rng_b,
+                None,
+            );
             assert_eq!(full, masked, "full mask diverged at T={t}");
             // A second search from the same streams agrees too, proving the
             // RNGs stayed in lockstep through the first one.
             assert_eq!(
-                device.search_packed(&read, t, MatchMode::Hamming, &mut rng_a),
-                device.search_packed_masked(&read, t, MatchMode::Hamming, &mask, &mut rng_b),
+                search_one(
+                    &device,
+                    &read,
+                    t,
+                    MatchMode::Hamming,
+                    None,
+                    &mut rng_a,
+                    None
+                ),
+                search_one(
+                    &device,
+                    &read,
+                    t,
+                    MatchMode::Hamming,
+                    Some(&mask),
+                    &mut rng_b,
+                    None
+                ),
                 "RNG streams fell out of lockstep at T={t}"
             );
         }
@@ -1209,12 +741,20 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 16);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
+        let read = PackedSeq::from_seq(&genome.window(320..384));
         // Shortlist exactly the true origin: one row, one array searched.
         let mask = device.mask_for_origins(&[320]);
         assert_eq!(mask.count_ones(), 1);
         let mut noise = rng(22);
-        let result = device.search_packed_masked(&read, 1, MatchMode::EdStar, &mask, &mut noise);
+        let result = search_one(
+            &device,
+            &read,
+            1,
+            MatchMode::EdStar,
+            Some(&mask),
+            &mut noise,
+            None,
+        );
         assert_eq!(result.stats.array_searches, 1, "idle arrays must be gated");
         assert!(result
             .matches
@@ -1222,17 +762,19 @@ mod tests {
             .any(|m| m.origin == 320 && m.n_mis == 0));
         // Energy scales with sensed rows: far below the full search.
         let mut noise = rng(22);
-        let full = device.search_packed(&read, 1, MatchMode::EdStar, &mut noise);
+        let full = search_one(&device, &read, 1, MatchMode::EdStar, None, &mut noise, None);
         assert!(result.stats.energy_j < full.stats.energy_j / 4.0);
 
         // An all-clear mask issues no search at all.
         let mut noise = rng(23);
-        let none = device.search_packed_masked(
+        let none = search_one(
+            &device,
             &read,
             1,
             MatchMode::EdStar,
-            &RowMask::new(device.stored_rows()),
+            Some(&RowMask::new(device.stored_rows())),
             &mut noise,
+            None,
         );
         assert_eq!(none.stats.array_searches, 0);
         assert_eq!(none.stats.energy_j, 0.0);
@@ -1244,15 +786,23 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 41);
         device.store_reference(&genome, 16).unwrap();
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..6)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 100..i * 100 + 64)))
+        let reads: Vec<PackedSeq> = (0..6)
+            .map(|i| PackedSeq::from_seq(&genome.window(i * 100..i * 100 + 64)))
             .collect();
         for t in [0usize, 2, 6] {
             let mut batch_rngs: Vec<_> = (0..6).map(|i| rng(500 + i)).collect();
-            let batched = device.search_packed_batch(&reads, t, MatchMode::EdStar, &mut batch_rngs);
+            let batched = device.search(&reads, t, MatchMode::EdStar, None, &mut batch_rngs, None);
             for (i, read) in reads.iter().enumerate() {
                 let mut solo_rng = rng(500 + i as u64);
-                let solo = device.search_packed(read, t, MatchMode::EdStar, &mut solo_rng);
+                let solo = search_one(
+                    &device,
+                    read,
+                    t,
+                    MatchMode::EdStar,
+                    None,
+                    &mut solo_rng,
+                    None,
+                );
                 assert_eq!(batched[i], solo, "read {i} diverged at T={t}");
             }
         }
@@ -1263,8 +813,8 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 42);
         device.store_reference(&genome, 16).unwrap();
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..4)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 160..i * 160 + 64)))
+        let reads: Vec<PackedSeq> = (0..4)
+            .map(|i| PackedSeq::from_seq(&genome.window(i * 160..i * 160 + 64)))
             .collect();
         // Per-read masks of very different sizes: an adversarially skewed
         // shortlist (read 0 senses almost everything, read 3 one row).
@@ -1278,17 +828,25 @@ mod tests {
             })
             .collect();
         let mut batch_rngs: Vec<_> = (0..4).map(|i| rng(900 + i)).collect();
-        let batched = device.search_packed_batch_masked(
+        let batched = device.search(
             &reads,
             2,
             MatchMode::EdStar,
-            &masks,
+            Some(&masks),
             &mut batch_rngs,
+            None,
         );
         for (i, read) in reads.iter().enumerate() {
             let mut solo_rng = rng(900 + i as u64);
-            let solo =
-                device.search_packed_masked(read, 2, MatchMode::EdStar, &masks[i], &mut solo_rng);
+            let solo = search_one(
+                &device,
+                read,
+                2,
+                MatchMode::EdStar,
+                Some(&masks[i]),
+                &mut solo_rng,
+                None,
+            );
             assert_eq!(batched[i], solo, "masked read {i} diverged");
         }
         // A batch whose masks are all-set degenerates to the unmasked batch.
@@ -1298,8 +856,8 @@ mod tests {
         let mut a: Vec<_> = (0..4).map(|i| rng(31 + i)).collect();
         let mut b: Vec<_> = (0..4).map(|i| rng(31 + i)).collect();
         assert_eq!(
-            device.search_packed_batch_masked(&reads, 2, MatchMode::EdStar, &full, &mut a),
-            device.search_packed_batch(&reads, 2, MatchMode::EdStar, &mut b),
+            device.search(&reads, 2, MatchMode::EdStar, Some(&full), &mut a, None),
+            device.search(&reads, 2, MatchMode::EdStar, None, &mut b, None),
         );
     }
 
@@ -1349,7 +907,6 @@ mod tests {
 
     #[test]
     fn device_fault_install_is_observable_and_inactive_plan_clears() {
-        use crate::fault::FaultPlan;
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 51);
         device.store_reference(&genome, 16).unwrap();
@@ -1363,13 +920,15 @@ mod tests {
         device.install_faults(&plan, 6);
         assert!(device.has_faults());
         assert_eq!(device.quarantined_rows(), device.stored_rows());
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
-        let result = device.search_packed_with_faults(
+        let read = PackedSeq::from_seq(&genome.window(320..384));
+        let result = search_one(
+            &device,
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(1),
-            &mut plan.read_fault_rng(1),
+            Some(&mut plan.read_fault_rng(1)),
         );
         assert_eq!(result.stats.requarried, device.stored_rows() as u64);
         // Quarantined rows answer exactly: the true origin matches.
@@ -1380,22 +939,67 @@ mod tests {
     }
 
     #[test]
-    fn faultless_faulted_search_is_byte_identical_to_plain() {
-        use crate::fault::FaultPlan;
+    fn fault_streams_must_match_the_installed_state() {
         let mut device = small_device();
-        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 52);
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 54);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(160..224));
-        let plan = FaultPlan::none();
+        let read = PackedSeq::from_seq(&genome.window(160..224));
+        let plan = FaultPlan::paper_corner(3);
+        let search = |device: &AsmcapDevice<ChargeDomainCam>, with_stream: bool| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut fault_rng = plan.read_fault_rng(1);
+                search_one(
+                    device,
+                    &read,
+                    4,
+                    MatchMode::EdStar,
+                    None,
+                    &mut rng(1),
+                    with_stream.then_some(&mut fault_rng),
+                )
+            }))
+        };
+        assert!(search(&device, true).is_err(), "stream without faults");
+        device.install_faults(&plan, 4);
+        assert!(search(&device, false).is_err(), "faults without stream");
+        assert!(search(&device, true).is_ok());
+    }
+
+    #[test]
+    fn faultless_faulted_search_is_byte_identical_to_plain() {
+        let mut plain_device = small_device();
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 52);
+        plain_device.store_reference(&genome, 16).unwrap();
+        // An active plan whose rates inject nothing: the faulted walk runs
+        // but perturbs no row.
+        let plan = FaultPlan {
+            seed: 5,
+            dead_row_rate: f64::MIN_POSITIVE,
+            ..FaultPlan::none()
+        };
+        let mut faulted_device = plain_device.clone();
+        faulted_device.install_faults(&plan, 4);
+        assert!(faulted_device.has_faults());
+        let read = PackedSeq::from_seq(&genome.window(160..224));
         let mut rng_a = rng(61);
         let mut rng_b = rng(61);
-        let plain = device.search_packed(&read, 4, MatchMode::EdStar, &mut rng_a);
-        let faulted = device.search_packed_with_faults(
+        let plain = search_one(
+            &plain_device,
             &read,
             4,
             MatchMode::EdStar,
+            None,
+            &mut rng_a,
+            None,
+        );
+        let faulted = search_one(
+            &faulted_device,
+            &read,
+            4,
+            MatchMode::EdStar,
+            None,
             &mut rng_b,
-            &mut plan.read_fault_rng(61),
+            Some(&mut plan.read_fault_rng(61)),
         );
         assert_eq!(plain, faulted);
         assert_eq!(faulted.stats.resensed, 0);
@@ -1404,44 +1008,47 @@ mod tests {
 
     #[test]
     fn faulted_batch_is_byte_identical_to_solo_faulted() {
-        use crate::fault::FaultPlan;
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 53);
         device.store_reference(&genome, 16).unwrap();
         let plan = FaultPlan::paper_corner(17);
         device.install_faults(&plan, 4);
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..5)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 120..i * 120 + 64)))
+        let reads: Vec<PackedSeq> = (0..5)
+            .map(|i| PackedSeq::from_seq(&genome.window(i * 120..i * 120 + 64)))
             .collect();
         let mut rngs: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
         let mut fault_rngs: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
-        let batched = device.search_packed_batch_with_faults(
+        let batched = device.search(
             &reads,
             4,
             MatchMode::EdStar,
+            None,
             &mut rngs,
-            &mut fault_rngs,
+            Some(&mut fault_rngs),
         );
         for (i, read) in reads.iter().enumerate() {
-            let solo = device.search_packed_with_faults(
+            let solo = search_one(
+                &device,
                 read,
                 4,
                 MatchMode::EdStar,
+                None,
                 &mut rng(700 + i as u64),
-                &mut plan.read_fault_rng(700 + i as u64),
+                Some(&mut plan.read_fault_rng(700 + i as u64)),
             );
             assert_eq!(batched[i], solo, "faulted read {i} diverged");
         }
         // Masked with a full mask degenerates to the unmasked faulted walk.
         let mask = RowMask::full(device.stored_rows());
         for (i, read) in reads.iter().enumerate() {
-            let masked = device.search_packed_masked_with_faults(
+            let masked = search_one(
+                &device,
                 read,
                 4,
                 MatchMode::EdStar,
-                &mask,
+                Some(&mask),
                 &mut rng(700 + i as u64),
-                &mut plan.read_fault_rng(700 + i as u64),
+                Some(&mut plan.read_fault_rng(700 + i as u64)),
             );
             assert_eq!(batched[i], masked, "masked faulted read {i} diverged");
         }
@@ -1451,13 +1058,13 @@ mod tests {
         let mut rngs2: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
         let mut fault_rngs2: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
         assert_eq!(
-            device.search_packed_batch_masked_with_faults(
+            device.search(
                 &reads,
                 4,
                 MatchMode::EdStar,
-                &masks,
+                Some(&masks),
                 &mut rngs2,
-                &mut fault_rngs2
+                Some(&mut fault_rngs2)
             ),
             batched,
         );
@@ -1473,8 +1080,8 @@ mod tests {
         let genome = GenomeModel::uniform().generate(offset_len(10, 32, 32), 5);
         device.store_reference(&genome, 32).unwrap();
         let mut rng = rng(13);
-        let read = genome.window(0..32);
-        let result = device.search(read.as_slice(), 1, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_seq(&genome.window(0..32));
+        let result = search_one(&device, &read, 1, MatchMode::EdStar, None, &mut rng, None);
         assert!(result.matches.iter().any(|m| m.origin == 0));
     }
 }

@@ -4,6 +4,7 @@
 use asmcap_arch::{CamArray, DeviceBuilder, MatchMode};
 use asmcap_bench::genome;
 use asmcap_circuit::rng;
+use asmcap_genome::PackedSeq;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -17,42 +18,36 @@ fn bench_array_search(c: &mut Criterion) {
                 .store_row(&reference.as_slice()[i * width..(i + 1) * width])
                 .unwrap();
         }
-        let read = reference.window(32..32 + width);
+        let read = PackedSeq::from_seq(&reference.window(32..32 + width));
         let mut r = rng(4);
         group.throughput(Throughput::Elements((rows * width) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("ed_star", format!("{rows}x{width}")),
-            &rows,
-            |bencher, _| {
-                bencher.iter(|| {
-                    array.search(black_box(read.as_slice()), 8, MatchMode::EdStar, &mut r)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hamming", format!("{rows}x{width}")),
-            &rows,
-            |bencher, _| {
-                bencher.iter(|| {
-                    array.search(black_box(read.as_slice()), 8, MatchMode::Hamming, &mut r)
-                });
-            },
-        );
+        for mode in [MatchMode::EdStar, MatchMode::Hamming] {
+            let name = if mode == MatchMode::EdStar {
+                "ed_star"
+            } else {
+                "hamming"
+            };
+            group.bench_with_input(
+                BenchmarkId::new(name, format!("{rows}x{width}")),
+                &rows,
+                |bencher, _| {
+                    bencher.iter(|| array.search(black_box(&read), 8, mode, None, &mut r, None));
+                },
+            );
+        }
     }
     group.finish();
 }
 
-/// One read at a time vs one batched device pass (sized so the packed row
-/// store — 16k × 256-base rows = 1 MiB — exceeds cache). Honest result on
-/// current hosts: the two are within a few percent of each other, because
-/// the software sense-amplifier model (an RNG draw per sensed row)
-/// dominates the row fetches the batch pass amortizes; the batch entry
-/// point's value is the pipelined-global-buffer modeling, the single-call
-/// batch surface with per-read RNG isolation, and the masked variant for
-/// prefiltered batches. Track both here so a future sense-model speedup
-/// shows when the balance tips.
+/// `AsmcapDevice::search` over N batches of one vs one batch of N (sized
+/// so the packed row store — 16k × 256-base rows = 1 MiB — exceeds
+/// cache). Honest result on current hosts: the two are within a few
+/// percent of each other, because the software sense-amplifier model (an
+/// RNG draw per sensed row) dominates the row fetches the array-major
+/// batch drain amortizes; the batch's value is the pipelined-global-buffer
+/// modeling and the single-call surface with per-read RNG isolation. Track
+/// both here so a future sense-model speedup shows when the balance tips.
 fn bench_device_batch_search(c: &mut Criterion) {
-    use asmcap_genome::PackedSeq;
     let mut group = c.benchmark_group("device_batch_search");
     group.sample_size(10);
     let width = 256usize;
@@ -69,26 +64,31 @@ fn bench_device_batch_search(c: &mut Criterion) {
         .map(|i| PackedSeq::from_seq(&reference.window(i * 17..i * 17 + width)))
         .collect();
     group.throughput(Throughput::Elements((device.stored_rows() * batch) as u64));
-    group.bench_function("sequential_64_reads", |bencher| {
+    group.bench_function("64_batches_of_one", |bencher| {
         bencher.iter(|| {
             let mut rngs: Vec<_> = (0..batch as u64).map(rng).collect();
             reads
-                .iter()
-                .zip(&mut rngs)
-                .map(|(read, r)| {
-                    device
-                        .search_packed(black_box(read), 8, MatchMode::EdStar, r)
-                        .matches
-                        .len()
+                .chunks(1)
+                .zip(rngs.chunks_mut(1))
+                .flat_map(|(read, r)| {
+                    device.search(black_box(read), 8, MatchMode::EdStar, None, r, None)
                 })
+                .map(|result| result.matches.len())
                 .sum::<usize>()
         });
     });
-    group.bench_function("batched_64_reads", |bencher| {
+    group.bench_function("one_batch_of_64", |bencher| {
         bencher.iter(|| {
             let mut rngs: Vec<_> = (0..batch as u64).map(rng).collect();
             device
-                .search_packed_batch(black_box(&reads), 8, MatchMode::EdStar, &mut rngs)
+                .search(
+                    black_box(&reads),
+                    8,
+                    MatchMode::EdStar,
+                    None,
+                    &mut rngs,
+                    None,
+                )
                 .iter()
                 .map(|result| result.matches.len())
                 .sum::<usize>()
@@ -110,11 +110,11 @@ fn bench_device_search(c: &mut Criterion) {
         .row_width(width)
         .build_asmcap();
     device.store_reference(&reference, 1).unwrap();
-    let read = reference.window(1000..1000 + width);
-    let mut r = rng(5);
+    let read = [PackedSeq::from_seq(&reference.window(1000..1000 + width))];
+    let mut r = [rng(5)];
     group.throughput(Throughput::Elements(device.stored_rows() as u64));
     group.bench_function("asmcap_16_arrays_stride1", |bencher| {
-        bencher.iter(|| device.search(black_box(read.as_slice()), 8, MatchMode::EdStar, &mut r));
+        bencher.iter(|| device.search(black_box(&read), 8, MatchMode::EdStar, None, &mut r, None));
     });
     group.finish();
 }
