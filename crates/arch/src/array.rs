@@ -15,6 +15,16 @@
 //! stage** senses each count against `V_ref(threshold)` through the noisy
 //! sense-amplifier model, in row order. The per-cell functional model the
 //! pre-pass vectorises lives in [`crate::cell`] / [`crate::driver`].
+//!
+//! Draw discipline: each sensed row owns one draw's worth of words of the
+//! read's noise stream, in row order, seeked past when the decision is
+//! sure. Most rows sit many noise sigmas from `V_ref` (an unrelated
+//! segment at `T = 6` has `n_mis` near 50 on a 128-cell row, where σ
+//! stays below 0.2 states), so every draw would give them the same
+//! answer; [`SenseAmp::decide`] takes that answer from the model's sure
+//! support ([`MlCam::measure_support`]) and seeks the stream past their
+//! words. Only rows near the threshold pay for the Gaussian draw, and the
+//! stream ends exactly where drawing every row would have left it.
 
 use crate::fault::{ArrayFaults, FaultPlan, FaultTally};
 use asmcap_circuit::energy::{asmcap_array_search_energy, edam_array_search_energy};
@@ -340,11 +350,13 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     /// `rows` is the controller's row-mask gating: `None` senses every
     /// occupied row, `Some(list)` only the listed rows. Either way each
     /// sensed row runs the word-parallel digital pre-pass (its exact
-    /// `n_mis`) and then the analog sense, in ascending row order, so the
-    /// noise stream `rng` is drawn exactly as a full search would reach
-    /// those rows, and listing every row is byte-identical to `None`. The
-    /// energy model is charged for the sensed rows only — unlisted
-    /// matchlines stay pre-charged and untouched.
+    /// `n_mis`) and then the analog sense, in ascending row order. Each
+    /// sensed row owns one draw's worth of stream words of `rng`, seeked
+    /// past when the decision is sure, so the stream is consumed exactly as
+    /// a full search would reach those rows, and listing every row is
+    /// byte-identical to `None`. The energy model is charged for the
+    /// sensed rows only — unlisted matchlines stay pre-charged and
+    /// untouched.
     ///
     /// `fault` is the read's dedicated fault stream and the tally its
     /// mitigations accumulate into. The fault model applies when faults
@@ -468,7 +480,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
                 let mut fails = 0u32;
                 for _ in 0..plan.selftest_trials {
                     // A dead matchline fails every trial without sensing;
-                    // live rows burn one self-test draw per trial.
+                    // live rows own one self-test draw per trial.
                     let pass = !rf.dead
                         && self
                             .sense
@@ -498,11 +510,12 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     /// One row's fault-aware decision: `(n_reported, matched)`.
     ///
     /// Draw discipline — the invariant the determinism pins rely on:
-    /// exactly **one** draw from the main sensing stream `rng` per live,
-    /// non-quarantined row (quarantined and dead rows draw nothing), and
-    /// every transient-flip or re-sense draw comes from the dedicated
-    /// per-read `fault_rng`, so the sensing stream's order matches the
-    /// fault-free path row for row.
+    /// one draw's worth of stream words from the main sensing stream `rng`
+    /// per live, non-quarantined row, seeked past when the decision is
+    /// sure (quarantined and dead rows consume nothing), and every
+    /// transient-flip or re-sense draw comes from the dedicated per-read
+    /// `fault_rng` under the same rule, so the sensing stream's order
+    /// matches the fault-free path row for row.
     #[allow(clippy::too_many_arguments)]
     fn sense_row_faulty(
         &self,
@@ -604,7 +617,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asmcap_circuit::rng;
+    use asmcap_circuit::{noise, rng};
     use asmcap_genome::{DnaSeq, GenomeModel};
 
     fn seq(s: &str) -> DnaSeq {
@@ -949,5 +962,243 @@ mod tests {
         );
         assert_eq!(full, masked, "full row list must be byte-identical");
         assert_eq!(tally_full, tally_masked);
+    }
+
+    /// The always-draw sense: one real `measure` per call.
+    fn drawn(
+        array: &CamArray<ChargeDomainCam>,
+        n_mis: usize,
+        threshold: usize,
+        offset_states: f64,
+        rng: &mut Rng,
+    ) -> bool {
+        let sense = array.sense();
+        sense.cam().measure(n_mis, array.width(), rng) + offset_states
+            <= sense.policy().boundary_states(threshold)
+    }
+
+    /// `sense_row_faulty` with every analog decision drawn.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_faulty_row(
+        array: &CamArray<ChargeDomainCam>,
+        faults: &ArrayFaults,
+        row: usize,
+        read: &PackedSeq,
+        n_true: usize,
+        threshold: usize,
+        mode: MatchMode,
+        rng: &mut Rng,
+        fault_rng: &mut Rng,
+        tally: &mut FaultTally,
+    ) -> (usize, bool) {
+        let Some(rf) = faults.rows.get(row) else {
+            return (n_true, drawn(array, n_true, threshold, 0.0, rng));
+        };
+        if rf.quarantined {
+            tally.requarried += 1;
+            return (n_true, n_true <= threshold);
+        }
+        let n_eff = ArrayFaults::effective_n_mis(rf, &array.rows[row], read, n_true, mode);
+        if rf.dead {
+            return (n_eff, false);
+        }
+        let rate = faults.transient_flip_rate;
+        let flip = |r: &mut Rng| rate > 0.0 && noise::uniform(r) < rate;
+        let drift = faults.drift_states;
+        let mut decision = drawn(array, n_eff, threshold, drift, rng) ^ flip(fault_rng);
+        if faults.resense_votes > 1 && decision != (n_eff <= threshold) {
+            tally.resensed += 1;
+            let mut yes = u32::from(decision);
+            for _ in 1..faults.resense_votes {
+                yes +=
+                    u32::from(drawn(array, n_eff, threshold, drift, fault_rng) ^ flip(fault_rng));
+            }
+            decision = yes * 2 > faults.resense_votes;
+        }
+        (n_eff, decision)
+    }
+
+    /// Oracle for [`CamArray::search`]: every sensed row draws.
+    fn oracle_search(
+        array: &CamArray<ChargeDomainCam>,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        rows: Option<&[usize]>,
+        rng: &mut Rng,
+        mut fault: Option<(&mut Rng, &mut FaultTally)>,
+    ) -> SearchOutcome {
+        let listed: Vec<usize> = rows.map_or_else(|| (0..array.rows()).collect(), <[_]>::to_vec);
+        let outcomes = listed
+            .into_iter()
+            .map(|row| {
+                let n_true = array.row_mismatches_packed(row, read, mode);
+                let (n_mis, matched) = match (array.faults(), fault.as_mut()) {
+                    (None, _) => (n_true, drawn(array, n_true, threshold, 0.0, rng)),
+                    (Some(faults), Some((fault_rng, tally))) => oracle_faulty_row(
+                        array, faults, row, read, n_true, threshold, mode, rng, fault_rng, tally,
+                    ),
+                    (Some(_), None) => unreachable!("faulted searches carry a fault stream"),
+                };
+                RowSearchOutcome {
+                    row,
+                    n_mis,
+                    matched,
+                }
+            })
+            .collect();
+        array.finish_outcome(outcomes, mode, threshold)
+    }
+
+    /// Row `i` holds one segment with `i` substitutions, so mismatch
+    /// counts cover every threshold's noise-limited band. The reads are
+    /// that segment, an edited copy, a one-base shift and an unrelated
+    /// window.
+    fn graded_array() -> (CamArray<ChargeDomainCam>, Vec<PackedSeq>) {
+        let genome = GenomeModel::uniform().generate(400, 17);
+        let segment = &genome.as_slice()[100..164];
+        let edited = |edits: usize, phase: usize| {
+            let mut bases = segment.to_vec();
+            for k in 0..edits {
+                let col = (k * 37 + phase) % 64;
+                bases[col] = bases[col].complement();
+            }
+            bases
+        };
+        let mut array = CamArray::asmcap(48, 64);
+        for i in 0..48 {
+            array.store_row(&edited(i, 0)).unwrap();
+        }
+        let reads = [
+            edited(0, 0),
+            edited(4, 9),
+            genome.as_slice()[101..165].to_vec(),
+            genome.as_slice()[300..364].to_vec(),
+        ];
+        (
+            array,
+            reads.iter().map(|r| PackedSeq::from_bases(r)).collect(),
+        )
+    }
+
+    #[test]
+    fn search_matches_an_always_draw_oracle() {
+        let (array, reads) = graded_array();
+        let listed: Vec<usize> = (0..48).filter(|row| row % 3 != 1).collect();
+        let (mut sure, mut unsure, mut mostly_unsure) = (0usize, 0usize, 0usize);
+        for mode in [MatchMode::EdStar, MatchMode::Hamming] {
+            for threshold in [0usize, 2, 6, 12, 64 / 4] {
+                for (i, read) in reads.iter().enumerate() {
+                    // The rows within a state of T: a mostly-not-sure search.
+                    let near: Vec<usize> = (0..48)
+                        .filter(|&row| {
+                            let n_mis = array.row_mismatches_packed(row, read, mode);
+                            n_mis.abs_diff(threshold) <= 1
+                        })
+                        .collect();
+                    for rows in [None, Some(listed.as_slice()), Some(near.as_slice())] {
+                        let seed = 1_000 + i as u64;
+                        let (mut fast, mut slow) = (rng(seed), rng(seed));
+                        let got = array.search(read, threshold, mode, rows, &mut fast, None);
+                        let want =
+                            oracle_search(&array, read, threshold, mode, rows, &mut slow, None);
+                        assert_eq!(got, want, "{mode} T={threshold} read {i}");
+                        assert_eq!(fast.get_word_pos(), slow.get_word_pos());
+                        // A row is sure when the model's support lies
+                        // wholly on one side of V_ref.
+                        let boundary = array.sense().policy().boundary_states(threshold);
+                        let drawn_rows = got
+                            .rows
+                            .iter()
+                            .filter(|r| {
+                                let s = array.sense().cam().measure_support(r.n_mis, 64).unwrap();
+                                s.lo <= boundary && boundary < s.hi
+                            })
+                            .count();
+                        sure += got.rows.len() - drawn_rows;
+                        unsure += drawn_rows;
+                        mostly_unsure += usize::from(drawn_rows * 2 > got.rows.len());
+                    }
+                }
+            }
+        }
+        // Both branches ran, and some searches drew on most of their rows.
+        assert!(sure > 0 && unsure > 100, "sure {sure}, unsure {unsure}");
+        assert!(mostly_unsure >= 10, "{mostly_unsure} mostly-drawn searches");
+    }
+
+    #[test]
+    fn faulted_search_matches_an_always_draw_oracle() {
+        let (mut array, reads) = graded_array();
+        // Paper-corner rates raised so flips, votes, stuck cells, dead and
+        // quarantined rows all show up in 48 rows.
+        let plan = FaultPlan {
+            stuck_mismatch_rate: 0.02,
+            dead_row_rate: 0.05,
+            drift_sigma_states: 0.4,
+            transient_flip_rate: 0.05,
+            ..FaultPlan::paper_corner(13)
+        };
+        array.install_faults(&plan, 0, 6);
+        // The self-test scan agrees with an always-draw scan too.
+        let faults = array.faults().unwrap().clone();
+        let mut selftest = plan.selftest_rng(0);
+        for rf in &faults.rows {
+            let fails = (0..plan.selftest_trials)
+                .filter(|_| {
+                    rf.dead
+                        || !drawn(
+                            &array,
+                            rf.self_mismatches(),
+                            6,
+                            faults.drift_states,
+                            &mut selftest,
+                        )
+                })
+                .count() as u32;
+            assert_eq!(rf.quarantined, fails * 2 > plan.selftest_trials);
+        }
+        let listed: Vec<usize> = (0..48).step_by(2).collect();
+        let mut tally = FaultTally::default();
+        for mode in [MatchMode::EdStar, MatchMode::Hamming] {
+            for threshold in [0usize, 2, 6, 12, 64 / 4] {
+                // Rows graded around T: a search that is mostly not sure.
+                let near: Vec<usize> = (threshold.saturating_sub(1)..threshold + 3).collect();
+                for rows in [None, Some(listed.as_slice()), Some(near.as_slice())] {
+                    for (i, read) in reads.iter().enumerate() {
+                        let seed = 2_000 + i as u64;
+                        let (mut fast, mut slow) = (rng(seed), rng(seed));
+                        let (mut fast_fault, mut slow_fault) =
+                            (plan.read_fault_rng(seed), plan.read_fault_rng(seed));
+                        let (mut fast_tally, mut slow_tally) =
+                            (FaultTally::default(), FaultTally::default());
+                        let got = array.search(
+                            read,
+                            threshold,
+                            mode,
+                            rows,
+                            &mut fast,
+                            Some((&mut fast_fault, &mut fast_tally)),
+                        );
+                        let want = oracle_search(
+                            &array,
+                            read,
+                            threshold,
+                            mode,
+                            rows,
+                            &mut slow,
+                            Some((&mut slow_fault, &mut slow_tally)),
+                        );
+                        assert_eq!(got, want, "{mode} T={threshold} read {i}");
+                        assert_eq!(fast_tally, slow_tally);
+                        assert_eq!(fast.get_word_pos(), slow.get_word_pos());
+                        assert_eq!(fast_fault.get_word_pos(), slow_fault.get_word_pos());
+                        tally.absorb(fast_tally);
+                    }
+                }
+            }
+        }
+        assert!(array.quarantined_rows() > 0);
+        assert!(tally.resensed > 0 && tally.requarried > 0, "{tally:?}");
     }
 }

@@ -4,6 +4,7 @@
 use asmcap_arch::{CamArray, DeviceBuilder, MatchMode};
 use asmcap_bench::genome;
 use asmcap_circuit::rng;
+use asmcap_genome::Base;
 use asmcap_genome::PackedSeq;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -39,14 +40,62 @@ fn bench_array_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// Cost per sensed row of a full scan (throughput counts rows), in the
+/// two regimes of the sense model, at the mapping workloads' shape
+/// (1024 rows × 128 cells, T = 6, HD mode so counts are exact):
+/// `far_from_threshold` scans an unrelated read, so every row sits tens
+/// of states above `V_ref`, its decision is sure and its draw is seeked
+/// past; `at_threshold` stores rows with 6 or 7 mismatches, so every row
+/// is within noise of `V_ref` and pays for a Gaussian draw.
+fn bench_sense_per_row(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sense_per_row");
+    let (rows, width, threshold) = (1024usize, 128usize, 6usize);
+    let reference = genome((rows + 1) * width);
+    let read_bases = &reference.as_slice()[rows * width..];
+    let read = PackedSeq::from_bases(read_bases);
+    let mut far = CamArray::asmcap(rows, width);
+    let mut near = CamArray::asmcap(rows, width);
+    for i in 0..rows {
+        far.store_row(&reference.as_slice()[i * width..(i + 1) * width])
+            .unwrap();
+        let mut edited: Vec<Base> = read_bases.to_vec();
+        for k in 0..threshold + i % 2 {
+            let col = (k * 37 + i) % width;
+            edited[col] = edited[col].complement();
+        }
+        near.store_row(&edited).unwrap();
+    }
+    let mut r = rng(6);
+    group.throughput(Throughput::Elements(rows as u64));
+    for (name, array) in [("far_from_threshold", &far), ("at_threshold", &near)] {
+        group.bench_function(
+            BenchmarkId::new(name, format!("{rows}x{width}")),
+            |bencher| {
+                bencher.iter(|| {
+                    array.search(
+                        black_box(&read),
+                        threshold,
+                        MatchMode::Hamming,
+                        None,
+                        &mut r,
+                        None,
+                    )
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 /// `AsmcapDevice::search` over N batches of one vs one batch of N (sized
 /// so the packed row store — 16k × 256-base rows = 1 MiB — exceeds
-/// cache). Honest result on current hosts: the two are within a few
-/// percent of each other, because the software sense-amplifier model (an
-/// RNG draw per sensed row) dominates the row fetches the array-major
-/// batch drain amortizes; the batch's value is the pipelined-global-buffer
-/// modeling and the single-call surface with per-read RNG isolation. Track
-/// both here so a future sense-model speedup shows when the balance tips.
+/// cache). Nearly every row here is far from `V_ref`, so since sensing
+/// skips the noise draw of sure decisions a row costs its ED\* pre-pass
+/// plus a sure check: on a noisy 2-vCPU x86-64 VM one batch of 64 took
+/// 28–47 ms (about 27–45 ns per sensed row), against 80–90 ms when every
+/// row drew. The two shapes still land within about 10% of each other:
+/// the row fetches the array-major drain amortizes are not yet what
+/// dominates. Track both here so it shows when that balance tips.
 fn bench_device_batch_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("device_batch_search");
     group.sample_size(10);
@@ -122,6 +171,7 @@ fn bench_device_search(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_array_search,
+    bench_sense_per_row,
     bench_device_batch_search,
     bench_device_search
 );

@@ -23,7 +23,12 @@
 
 use crate::noise;
 use crate::params::AsmcapParams;
-use crate::{MlCam, Rng};
+use crate::{MeasureSupport, MlCam, Rng};
+
+/// Half-width of [`ChargeDomainCam`]'s sure support in sigmas. A
+/// Box–Muller sample never exceeds `√(−2 ln ε) ≈ 8.4904` in magnitude
+/// (`u1 ≥ ε`), so 9σ also covers the rounding of `n_mis + σ·z`.
+const SUPPORT_SIGMAS: f64 = 9.0;
 
 /// A sampled bank of `N` capacitors for one matchline — the device-accurate
 /// model of one array row.
@@ -174,6 +179,17 @@ impl MlCam for ChargeDomainCam {
         (eq2 + self.params.sa_offset_states.powi(2)).sqrt()
     }
 
+    /// `n_mis ± 9σ`, four stream words (one Box–Muller draw).
+    fn measure_support(&self, n_mis: usize, n: usize) -> Option<MeasureSupport> {
+        let mean = n_mis as f64;
+        let reach = SUPPORT_SIGMAS * self.sigma_states(n_mis, n);
+        Some(MeasureSupport {
+            lo: mean - reach,
+            hi: mean + reach,
+            words: noise::STANDARD_NORMAL_WORDS,
+        })
+    }
+
     fn search_time_s(&self) -> f64 {
         self.params.search_time_s()
     }
@@ -274,6 +290,43 @@ mod tests {
                 let m = cam.measure(n_mis, 256, &mut rng);
                 assert!((m - n_mis as f64).abs() < 6.0 * cam.sigma_states(n_mis, 256) + 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn worst_case_box_muller_sample_is_inside_the_support() {
+        // u1 at its floor and cos(2π·u2) = ±1: the largest |z| a draw can
+        // produce, computed with the same operations as the sampler.
+        let ln_floor = (-2.0 * noise::U1_MIN.ln()).sqrt();
+        for u2 in [0.0, 0.5] {
+            let z = ln_floor * (std::f64::consts::TAU * u2).cos();
+            assert!(z.abs() < 8.4905 && z.abs() > 8.4903, "|z| = {}", z.abs());
+            assert!(z.abs() < SUPPORT_SIGMAS);
+        }
+        // And every draw lands inside the reported support.
+        let cam = ChargeDomainCam::paper();
+        let mut rng = rng(12);
+        for n_mis in [0usize, 3, 64, 127, 128] {
+            let support = cam.measure_support(n_mis, 128).unwrap();
+            for _ in 0..2_000 {
+                let m = cam.measure(n_mis, 128, &mut rng);
+                assert!((support.lo..=support.hi).contains(&m));
+            }
+        }
+    }
+
+    #[test]
+    fn one_measure_advances_the_stream_by_four_words() {
+        // The sure-decision skip seeks past exactly this many words; a
+        // change to the noise routine must update the support too.
+        let cam = ChargeDomainCam::paper();
+        let words = cam.measure_support(40, 128).unwrap().words;
+        assert_eq!(words, 4);
+        let mut rng = rng(8);
+        for n_mis in [0usize, 40, 128] {
+            let before = rng.get_word_pos();
+            let _ = cam.measure(n_mis, 128, &mut rng);
+            assert_eq!(rng.get_word_pos() - before, u128::from(words));
         }
     }
 

@@ -72,9 +72,35 @@ pub trait MlCam {
     /// Analytic standard deviation of [`MlCam::measure`] in state units.
     fn sigma_states(&self, n_mis: usize, n: usize) -> f64;
 
+    /// A sure support of [`MlCam::measure`]: every value one draw for
+    /// `n_mis` of `n` can return, after floating-point rounding, lies in
+    /// `[lo, hi]`, and every draw consumes exactly `words` 32-bit words of
+    /// the stream. [`SenseAmp`] uses it to decide rows no draw can flip
+    /// without drawing, seeking past `words` instead so every later draw
+    /// is unchanged.
+    ///
+    /// The default, `None`, means unknown: callers must draw. Override only
+    /// with a bound that holds for every possible stream word.
+    fn measure_support(&self, n_mis: usize, n: usize) -> Option<MeasureSupport> {
+        let _ = (n_mis, n);
+        None
+    }
+
     /// Search latency in seconds for one in-array search operation.
     fn search_time_s(&self) -> f64;
 
     /// Human-readable model name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The range every [`MlCam::measure`] draw lands in, plus the stream words
+/// one draw consumes (see [`MlCam::measure_support`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasureSupport {
+    /// Lowest value a draw can return, in state units.
+    pub lo: f64,
+    /// Highest value a draw can return, in state units.
+    pub hi: f64,
+    /// 32-bit stream words one draw consumes.
+    pub words: u64,
 }

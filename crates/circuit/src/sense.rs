@@ -6,7 +6,7 @@
 //! where the reference sits *between* states matters, so the placement is a
 //! configurable [`VrefPolicy`].
 
-use crate::{MlCam, Rng};
+use crate::{noise, MlCam, Rng};
 
 /// Where to place `V_ref` relative to the threshold state `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,17 +76,49 @@ impl<M: MlCam> SenseAmp<M> {
         self.policy
     }
 
+    /// The decision every draw agrees on for a row with `n_mis` of `n`
+    /// cells mismatched at `threshold`, shifted by `offset_states`, with
+    /// the stream words one draw consumes: `Some((matched, words))` when
+    /// the model's sure support ([`MlCam::measure_support`]) lies wholly on
+    /// one side of `V_ref`, `None` when noise could flip the answer or the
+    /// support is unknown.
+    fn sure_decision(
+        &self,
+        n_mis: usize,
+        n: usize,
+        threshold: usize,
+        offset_states: f64,
+    ) -> Option<(bool, u64)> {
+        let support = self.cam.measure_support(n_mis, n)?;
+        let boundary = self.policy.boundary_states(threshold);
+        // Adding the offset is monotone under rounding, so the shifted
+        // support still bounds every shifted draw.
+        if support.hi + offset_states <= boundary {
+            Some((true, support.words))
+        } else if support.lo + offset_states > boundary {
+            Some((false, support.words))
+        } else {
+            None
+        }
+    }
+
     /// One noisy match decision: `true` iff the measured matchline value
-    /// falls at or below the `V_ref` boundary for `threshold`.
+    /// falls at or below the `V_ref` boundary for `threshold`. Exactly
+    /// [`SenseAmp::decide_with_offset`] with a zero offset.
     pub fn decide(&self, n_mis: usize, n: usize, threshold: usize, rng: &mut Rng) -> bool {
-        self.cam.measure(n_mis, n, rng) <= self.policy.boundary_states(threshold)
+        self.decide_with_offset(n_mis, n, threshold, 0.0, rng)
     }
 
     /// [`SenseAmp::decide`] with a systematic matchline offset in state
     /// units — the fault-injection hook for per-array capacitance drift.
     /// A positive offset pushes every measurement away from "match",
-    /// eroding the sense margin. `decide_with_offset(.., 0.0, ..)` draws
-    /// and decides exactly as [`SenseAmp::decide`].
+    /// eroding the sense margin.
+    ///
+    /// When the model's sure support ([`MlCam::measure_support`]), shifted
+    /// by the offset, lies wholly on one side of `V_ref`, no noise is
+    /// drawn: `rng` seeks past the words one draw would have used, so the
+    /// stream ends where drawing would have left it and every later draw
+    /// is unchanged.
     pub fn decide_with_offset(
         &self,
         n_mis: usize,
@@ -95,6 +127,10 @@ impl<M: MlCam> SenseAmp<M> {
         offset_states: f64,
         rng: &mut Rng,
     ) -> bool {
+        if let Some((matched, words)) = self.sure_decision(n_mis, n, threshold, offset_states) {
+            noise::skip_words(rng, words);
+            return matched;
+        }
         self.cam.measure(n_mis, n, rng) + offset_states <= self.policy.boundary_states(threshold)
     }
 
@@ -161,6 +197,109 @@ mod tests {
         for t in 0..10 {
             for n_mis in 0..20 {
                 assert_eq!(sa.decide(n_mis, 256, t, &mut rng), n_mis <= t);
+            }
+        }
+    }
+
+    /// One sense amplifier over `cam` per `V_ref` policy.
+    fn sense_amps<M: MlCam + Clone>(cam: &M) -> Vec<SenseAmp<M>> {
+        [VrefPolicy::Centered, VrefPolicy::Exact]
+            .into_iter()
+            .map(|policy| SenseAmp::new(cam.clone(), policy))
+            .collect()
+    }
+
+    #[test]
+    fn sure_decisions_agree_with_every_real_draw() {
+        // A decision is monotone in the measured value, so a sure `true`
+        // must hold for the largest of the draws and a sure `false` for
+        // the smallest.
+        let cam = ChargeDomainCam::paper();
+        let mut rng = rng(41);
+        let mut sure = 0usize;
+        for n in [32usize, 64, 128, 256] {
+            for n_mis in 0..=n {
+                let draws: Vec<f64> = (0..2_000)
+                    .map(|_| cam.measure(n_mis, n, &mut rng))
+                    .collect();
+                let lo = draws.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = draws.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                for sa in sense_amps(&cam) {
+                    for t in 0..=16 {
+                        let boundary = sa.policy().boundary_states(t);
+                        match sa.sure_decision(n_mis, n, t, 0.0) {
+                            Some((true, 4)) => assert!(hi <= boundary, "n={n} n_mis={n_mis} T={t}"),
+                            Some((false, 4)) => assert!(lo > boundary, "n={n} n_mis={n_mis} T={t}"),
+                            Some(other) => panic!("unexpected sure decision {other:?}"),
+                            None => continue,
+                        }
+                        sure += 1;
+                    }
+                }
+            }
+        }
+        // Nearly every (row, threshold) pair is far from V_ref.
+        assert!(sure > 15_000, "only {sure} sure decisions");
+    }
+
+    #[test]
+    fn noiseless_rows_are_always_sure() {
+        let mut params = crate::AsmcapParams::paper();
+        params.sa_offset_states = 0.0;
+        params.cap_sigma_rel = 0.0;
+        for sa in sense_amps(&ChargeDomainCam::new(params)) {
+            for n in [32usize, 128] {
+                for t in 0..=16 {
+                    for n_mis in 0..=n {
+                        let expected = n_mis as f64 <= sa.policy().boundary_states(t);
+                        assert_eq!(sa.sure_decision(n_mis, n, t, 0.0), Some((expected, 4)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edam_never_claims_a_sure_decision() {
+        let sa = SenseAmp::new(CurrentDomainCam::paper(), VrefPolicy::Centered);
+        assert_eq!(sa.cam().measure_support(50, 128), None);
+        for n_mis in [0usize, 6, 50, 128] {
+            assert_eq!(sa.sure_decision(n_mis, 128, 6, 0.0), None);
+        }
+    }
+
+    #[test]
+    fn decide_is_decide_with_zero_offset_and_a_plain_draw() {
+        // Three streams: `decide`, `decide_with_offset(.., 0.0, ..)`, and
+        // the always-draw oracle. Decisions and stream positions agree
+        // row for row, over rows near and far from V_ref.
+        let sa = SenseAmp::new(ChargeDomainCam::paper(), VrefPolicy::Centered);
+        let (mut a, mut b, mut oracle) = (rng(5), rng(5), rng(5));
+        for round in 0..50 {
+            for n_mis in 0..=40 {
+                let t = round % 12;
+                let d = sa.decide(n_mis, 128, t, &mut a);
+                let o = sa.decide_with_offset(n_mis, 128, t, 0.0, &mut b);
+                let truth =
+                    sa.cam().measure(n_mis, 128, &mut oracle) <= sa.policy().boundary_states(t);
+                assert_eq!((d, o), (truth, truth), "n_mis={n_mis} T={t}");
+                assert_eq!(a.get_word_pos(), oracle.get_word_pos());
+                assert_eq!(b.get_word_pos(), oracle.get_word_pos());
+            }
+        }
+    }
+
+    #[test]
+    fn offset_decisions_match_a_plain_draw() {
+        let sa = SenseAmp::new(ChargeDomainCam::paper(), VrefPolicy::Exact);
+        let (mut fast, mut oracle) = (rng(6), rng(6));
+        for offset in [-3.0, -0.4, 0.25, 1.5, 7.0] {
+            for n_mis in 0..=30 {
+                let d = sa.decide_with_offset(n_mis, 64, 8, offset, &mut fast);
+                let truth = sa.cam().measure(n_mis, 64, &mut oracle) + offset
+                    <= sa.policy().boundary_states(8);
+                assert_eq!(d, truth, "n_mis={n_mis} offset={offset}");
+                assert_eq!(fast.get_word_pos(), oracle.get_word_pos());
             }
         }
     }
