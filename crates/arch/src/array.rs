@@ -103,50 +103,18 @@ impl fmt::Display for StoreRowError {
 
 impl std::error::Error for StoreRowError {}
 
-/// Result of sensing one row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowSearchOutcome {
-    /// Row index within the array.
-    pub row: usize,
-    /// Mismatch count the matchline encodes: the exact digital count, or
-    /// the stuck-cell-perturbed effective count when faults are installed.
-    pub n_mis: usize,
-    /// The sense amplifier's (noisy) decision.
-    pub matched: bool,
-}
-
 /// Result of one array search operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
-    /// Per-row outcomes, in row order.
-    pub rows: Vec<RowSearchOutcome>,
-    /// The mode the search ran in.
-    pub mode: MatchMode,
-    /// The threshold `T` encoded on `V_ref`.
-    pub threshold: usize,
+    /// `(row, n_mis)` of each row the SAs declared matching, in row order.
+    /// `n_mis` is the count the matchline encodes: the exact digital
+    /// count, or the stuck-cell-perturbed effective count when faults are
+    /// installed.
+    pub matches: Vec<(usize, usize)>,
+    /// Number of rows sensed.
+    pub sensed: usize,
     /// Energy consumed by this search, in joules.
     pub energy_j: f64,
-}
-
-impl SearchOutcome {
-    /// Indices of rows the SAs declared matching.
-    #[must_use]
-    pub fn matched_rows(&self) -> Vec<usize> {
-        self.rows
-            .iter()
-            .filter(|r| r.matched)
-            .map(|r| r.row)
-            .collect()
-    }
-
-    /// Mean mismatch count across the searched rows.
-    #[must_use]
-    pub fn mean_n_mis(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / self.rows.len() as f64
-    }
 }
 
 /// An `M×N` content-addressable array over sensing model `M`.
@@ -163,7 +131,8 @@ impl SearchOutcome {
 /// let mut rng = asmcap_circuit::rng(1);
 /// let read = PackedSeq::from_seq(&"ACGTACGA".parse()?);
 /// let outcome = array.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
-/// assert_eq!(outcome.matched_rows(), vec![0]);
+/// assert_eq!(outcome.matches, vec![(0, 1)]);
+/// assert_eq!(outcome.sensed, 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -347,14 +316,14 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     /// One in-array search: the read is broadcast on the searchlines and
     /// each enabled matchline is sensed against `V_ref(threshold)`.
     ///
-    /// `rows` is the controller's row-mask gating: `None` senses every
-    /// occupied row, `Some(list)` only the listed rows. Either way each
-    /// sensed row runs the word-parallel digital pre-pass (its exact
-    /// `n_mis`) and then the analog sense, in ascending row order. Each
-    /// sensed row owns one draw's worth of stream words of `rng`, seeked
-    /// past when the decision is sure, so the stream is consumed exactly as
-    /// a full search would reach those rows, and listing every row is
-    /// byte-identical to `None`. The energy model is charged for the
+    /// `rows` is the controller's row gating: `None` senses every occupied
+    /// row, `Some(list)` only the listed rows (strictly ascending). Either
+    /// way each sensed row runs the word-parallel digital pre-pass (its
+    /// exact `n_mis`) and then the analog sense, in ascending row order.
+    /// Each sensed row owns one draw's worth of stream words of `rng`,
+    /// seeked past when the decision is sure, so the stream is consumed
+    /// exactly as a full search would reach those rows, and listing every
+    /// row is byte-identical to `None`. The energy model is charged for the
     /// sensed rows only — unlisted matchlines stay pre-charged and
     /// untouched.
     ///
@@ -381,7 +350,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     ) -> SearchOutcome {
         assert_eq!(read.len(), self.width, "read must match the array width");
         self.check_mode(mode);
-        let outcomes = match rows {
+        match rows {
             None => self.sense_rows(
                 self.rows.iter().enumerate(),
                 read,
@@ -404,8 +373,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
                     fault,
                 )
             }
-        };
-        self.finish_outcome(outcomes, mode, threshold)
+        }
     }
 
     /// The per-row body of [`CamArray::search`]: the fault branch is picked
@@ -419,7 +387,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         mode: MatchMode,
         rng: &mut Rng,
         fault: Option<(&mut Rng, &mut FaultTally)>,
-    ) -> Vec<RowSearchOutcome> {
+    ) -> SearchOutcome {
         let count = |stored: &PackedSeq| match mode {
             MatchMode::EdStar => ed_star_packed(stored, read),
             MatchMode::Hamming => hamming_packed(stored, read),
@@ -428,30 +396,20 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
             // Counting draws nothing from the RNG, so fusing the digital
             // pre-pass with the sense row by row keeps the noise stream
             // identical to a separate pre-pass without a counts buffer.
-            (None, _) => rows
-                .map(|(row, stored)| {
-                    let n_mis = count(stored);
-                    let matched = self.sense.decide(n_mis, self.width, threshold, rng);
-                    RowSearchOutcome {
-                        row,
-                        n_mis,
-                        matched,
-                    }
-                })
-                .collect(),
-            (Some(faults), Some((fault_rng, tally))) => rows
-                .map(|(row, stored)| {
+            (None, _) => self.finish_outcome(rows.map(|(row, stored)| {
+                let n_mis = count(stored);
+                let matched = self.sense.decide(n_mis, self.width, threshold, rng);
+                (row, n_mis, matched)
+            })),
+            (Some(faults), Some((fault_rng, tally))) => {
+                self.finish_outcome(rows.map(|(row, stored)| {
                     let n_true = count(stored);
                     let (n_mis, matched) = self.sense_row_faulty(
                         faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
                     );
-                    RowSearchOutcome {
-                        row,
-                        n_mis,
-                        matched,
-                    }
-                })
-                .collect(),
+                    (row, n_mis, matched)
+                }))
+            }
             (Some(_), None) => panic!("a faulted array needs the read's fault stream"),
         }
     }
@@ -583,26 +541,29 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         (n_eff, decision)
     }
 
-    fn finish_outcome(
-        &self,
-        rows: Vec<RowSearchOutcome>,
-        mode: MatchMode,
-        threshold: usize,
-    ) -> SearchOutcome {
-        let mean = if rows.is_empty() {
+    /// Folds the sensed `(row, n_mis, matched)` triples into an outcome,
+    /// charging energy at the sensed rows' mean `n_mis`. The sum is kept
+    /// in integers: every partial sum of a float sum would be an integer
+    /// below 2^53 too, so the mean is bit-identical to one.
+    fn finish_outcome(&self, sensed: impl Iterator<Item = (usize, usize, bool)>) -> SearchOutcome {
+        let mut matches = Vec::new();
+        let (mut rows, mut n_mis_sum) = (0usize, 0usize);
+        for (row, n_mis, matched) in sensed {
+            rows += 1;
+            n_mis_sum += n_mis;
+            if matched {
+                matches.push((row, n_mis));
+            }
+        }
+        let mean = if rows == 0 {
             0.0
         } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
+            n_mis_sum as f64 / rows as f64
         };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(rows.len(), self.width, mean);
         SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
+            matches,
+            sensed: rows,
+            energy_j: self.sense.cam().search_energy_j(rows, self.width, mean),
         }
     }
 
@@ -687,8 +648,8 @@ mod tests {
         let mut rng = rng(2);
         let read = PackedSeq::from_bases(&genome.as_slice()[80..112]); // row 2's segment
         let outcome = array.search(&read, 0, MatchMode::EdStar, None, &mut rng, None);
-        assert_eq!(outcome.matched_rows(), vec![2]);
-        assert_eq!(outcome.rows[2].n_mis, 0);
+        assert_eq!(outcome.matches, vec![(2, 0)]);
+        assert_eq!(outcome.sensed, 4);
     }
 
     #[test]
@@ -764,28 +725,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn outcome_mean_n_mis() {
-        let outcome = SearchOutcome {
-            rows: vec![
-                RowSearchOutcome {
-                    row: 0,
-                    n_mis: 2,
-                    matched: true,
-                },
-                RowSearchOutcome {
-                    row: 1,
-                    n_mis: 4,
-                    matched: false,
-                },
-            ],
-            mode: MatchMode::EdStar,
-            threshold: 2,
-            energy_j: 0.0,
-        };
-        assert_eq!(outcome.mean_n_mis(), 3.0);
     }
 
     fn faulty_test_array() -> CamArray<ChargeDomainCam> {
@@ -901,10 +840,18 @@ mod tests {
             Some((&mut plan.read_fault_rng(5), &mut tally)),
         );
         // Exact digital answers: row 7 matches itself, all else by count.
-        assert!(out.rows[7].matched);
-        for row in &out.rows {
-            assert_eq!(row.matched, row.n_mis <= 6, "row {}", row.row);
-        }
+        assert!(out.matches.contains(&(7, 0)));
+        let by_count: Vec<(usize, usize)> = (0..array.rows())
+            .map(|row| {
+                (
+                    row,
+                    array.row_mismatches_packed(row, &read, MatchMode::EdStar),
+                )
+            })
+            .filter(|&(_, n_mis)| n_mis <= 6)
+            .collect();
+        assert_eq!(out.matches, by_count);
+        assert_eq!(out.sensed, array.rows());
         assert_eq!(tally.requarried, array.rows() as u64);
         // No draws were consumed from the main sensing stream.
         use rand::Rng as _;
@@ -1029,25 +976,17 @@ mod tests {
         mut fault: Option<(&mut Rng, &mut FaultTally)>,
     ) -> SearchOutcome {
         let listed: Vec<usize> = rows.map_or_else(|| (0..array.rows()).collect(), <[_]>::to_vec);
-        let outcomes = listed
-            .into_iter()
-            .map(|row| {
-                let n_true = array.row_mismatches_packed(row, read, mode);
-                let (n_mis, matched) = match (array.faults(), fault.as_mut()) {
-                    (None, _) => (n_true, drawn(array, n_true, threshold, 0.0, rng)),
-                    (Some(faults), Some((fault_rng, tally))) => oracle_faulty_row(
-                        array, faults, row, read, n_true, threshold, mode, rng, fault_rng, tally,
-                    ),
-                    (Some(_), None) => unreachable!("faulted searches carry a fault stream"),
-                };
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        array.finish_outcome(outcomes, mode, threshold)
+        array.finish_outcome(listed.into_iter().map(|row| {
+            let n_true = array.row_mismatches_packed(row, read, mode);
+            let (n_mis, matched) = match (array.faults(), fault.as_mut()) {
+                (None, _) => (n_true, drawn(array, n_true, threshold, 0.0, rng)),
+                (Some(faults), Some((fault_rng, tally))) => oracle_faulty_row(
+                    array, faults, row, read, n_true, threshold, mode, rng, fault_rng, tally,
+                ),
+                (Some(_), None) => unreachable!("faulted searches carry a fault stream"),
+            };
+            (row, n_mis, matched)
+        }))
     }
 
     /// Row `i` holds one segment with `i` substitutions, so mismatch
@@ -1097,6 +1036,8 @@ mod tests {
                         })
                         .collect();
                     for rows in [None, Some(listed.as_slice()), Some(near.as_slice())] {
+                        let sensed: Vec<usize> =
+                            rows.map_or_else(|| (0..48).collect(), <[_]>::to_vec);
                         let seed = 1_000 + i as u64;
                         let (mut fast, mut slow) = (rng(seed), rng(seed));
                         let got = array.search(read, threshold, mode, rows, &mut fast, None);
@@ -1107,17 +1048,17 @@ mod tests {
                         // A row is sure when the model's support lies
                         // wholly on one side of V_ref.
                         let boundary = array.sense().policy().boundary_states(threshold);
-                        let drawn_rows = got
-                            .rows
+                        let drawn_rows = sensed
                             .iter()
-                            .filter(|r| {
-                                let s = array.sense().cam().measure_support(r.n_mis, 64).unwrap();
+                            .filter(|&&row| {
+                                let n_mis = array.row_mismatches_packed(row, read, mode);
+                                let s = array.sense().cam().measure_support(n_mis, 64).unwrap();
                                 s.lo <= boundary && boundary < s.hi
                             })
                             .count();
-                        sure += got.rows.len() - drawn_rows;
+                        sure += sensed.len() - drawn_rows;
                         unsure += drawn_rows;
-                        mostly_unsure += usize::from(drawn_rows * 2 > got.rows.len());
+                        mostly_unsure += usize::from(drawn_rows * 2 > sensed.len());
                     }
                 }
             }

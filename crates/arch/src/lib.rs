@@ -16,8 +16,8 @@
 //!   re-sense voting and row-quarantine mitigations;
 //! * [`top`] — the full device: 512 arrays behind a global buffer and
 //!   H-tree, storing a segmented reference and searching a queue of reads
-//!   against all (or a masked subset of) rows through one batch entry,
-//!   [`AsmcapDevice::search`]. The ED\*→HDAC→TASR search sequencing and
+//!   through one batch entry, [`AsmcapDevice::search`], each read against
+//!   every row or its own ascending list of rows. The ED\*→HDAC→TASR search sequencing and
 //!   its cycle accounting live one layer up, in `asmcap::DeviceBackend`.
 //!
 //! The functional matching results are bit-exact with
@@ -33,12 +33,11 @@ pub mod fault;
 pub mod registers;
 pub mod top;
 
-pub use array::{CamArray, MatchMode, RowSearchOutcome, SearchOutcome};
+pub use array::{CamArray, MatchMode, SearchOutcome};
 pub use cell::AsmcapCell;
 pub use driver::SlDriver;
 pub use fault::{ArrayFaults, FaultPlan, FaultTally, RowFaults, StuckCell};
 pub use registers::RotateDirection;
 pub use top::{
-    AsmcapDevice, CapacityError, DeviceBuilder, DeviceMatch, DeviceSearchResult, RowId, RowMask,
-    SearchStats,
+    AsmcapDevice, CapacityError, DeviceBuilder, DeviceMatch, DeviceSearchResult, RowId, SearchStats,
 };

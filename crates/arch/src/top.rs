@@ -12,114 +12,6 @@ use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng};
 use asmcap_genome::{DnaSeq, PackedRef, PackedSeq, PackedWords as _};
 use std::fmt;
 
-/// A bitset over the device's stored rows (flat storage order), selecting
-/// which rows a masked search may sense.
-///
-/// This is the software model of the controller's row gating: the k-mer
-/// prefilter shortlists candidate segment origins, [`AsmcapDevice::mask_for_origins`]
-/// turns them into a mask, and [`AsmcapDevice::search`] drives only the
-/// masked-in matchlines.
-///
-/// # Examples
-///
-/// ```
-/// use asmcap_arch::RowMask;
-/// let mut mask = RowMask::new(8);
-/// mask.set(2);
-/// mask.set(5);
-/// assert!(mask.get(2) && !mask.get(3));
-/// assert_eq!(mask.count_ones(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowMask {
-    bits: Vec<u64>,
-    len: usize,
-}
-
-impl RowMask {
-    /// An all-clear mask over `len` rows.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        Self {
-            bits: vec![0u64; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// An all-set mask over `len` rows (masked search degenerates to the
-    /// full search, byte-identically).
-    #[must_use]
-    pub fn full(len: usize) -> Self {
-        let mut mask = Self::new(len);
-        for i in 0..len {
-            mask.set(i);
-        }
-        mask
-    }
-
-    /// Number of rows the mask covers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mask covers zero rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Marks row `i` for sensing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "row {i} out of mask of {} rows", self.len);
-        self.bits[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Whether row `i` is marked.
-    #[must_use]
-    pub fn get(&self, i: usize) -> bool {
-        i < self.len && (self.bits[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of marked rows.
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The marked rows inside `range`, ascending — walking whole words and
-    /// popping set bits, so a sparse mask over many rows costs
-    /// `O(range/64 + ones)`, not `O(range)` membership probes.
-    pub fn ones_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len).max(start);
-        let first_word = start / 64;
-        let last_word = end.div_ceil(64);
-        (first_word..last_word).flat_map(move |w| {
-            let mut word = self.bits[w];
-            if w == first_word {
-                word &= u64::MAX << (start % 64);
-            }
-            if w == last_word - 1 && !end.is_multiple_of(64) {
-                word &= (1u64 << (end % 64)) - 1;
-            }
-            let base = w * 64;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(base + bit)
-            })
-        })
-    }
-}
-
 /// Location of one stored row inside the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId {
@@ -278,9 +170,10 @@ impl Default for DeviceBuilder {
 pub struct AsmcapDevice<M> {
     arrays: Vec<CamArray<M>>,
     origins: Vec<usize>, // flat, in storage order
-    // Whether `origins` is ascending (true for one stored reference; a
-    // second `store_reference` call restarts at 0 and clears it), which is
-    // what lets `mask_for_origins` binary-search instead of scanning.
+    // Whether `origins` is strictly ascending (true for one stored
+    // reference; a second `store_reference` call restarts at 0 and clears
+    // it), which is what lets `rows_for_origins` binary-search instead of
+    // scanning.
     origins_sorted: bool,
     width: usize,
 }
@@ -423,7 +316,7 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             array
                 .store_row_packed(segment)
                 .expect("width and capacity checked");
-            if self.origins.last().is_some_and(|&last| start < last) {
+            if self.origins.last().is_some_and(|&last| start <= last) {
                 self.origins_sorted = false;
             }
             self.origins.push(start);
@@ -432,8 +325,9 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     }
 
     /// One search operation per read: the global buffer latches the read
-    /// queue once, each read is broadcast to every array, and each array
-    /// senses its enabled matchlines at threshold `T` in `mode`.
+    /// queue once, each read is broadcast to every array holding one of its
+    /// rows, and each array senses its enabled matchlines at threshold `T`
+    /// in `mode`.
     ///
     /// The drain is **array-major** — the software model of the paper's
     /// pipelined global buffer: the buffer stages one array, every queued
@@ -443,10 +337,11 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     /// batch of one holding just that read — matches, energy, and RNG
     /// stream state included. A per-read search is a batch of one.
     ///
-    /// `masks[i]` (flat storage order, see [`AsmcapDevice::mask_for_origins`])
-    /// gates read `i` to its masked-in rows; `None` senses every stored
-    /// row, exactly like [`RowMask::full`]. Arrays with no masked-in row
-    /// for a read issue no search operation and burn no energy for it.
+    /// `rows[i]` gates read `i`: `Some(list)` senses only the listed flat
+    /// row ids (storage order, strictly ascending, see
+    /// [`AsmcapDevice::rows_for_origins`]); `None` senses every stored
+    /// row, exactly like listing them all. An array holding none of a
+    /// read's rows issues no search operation and burns no energy for it.
     ///
     /// `fault_rngs[i]` is read `i`'s dedicated fault stream: each array
     /// senses through its installed fault model and the result's stats
@@ -454,22 +349,23 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `reads`, `rngs`, and (when given) `masks` and
-    /// `fault_rngs` lengths differ; if any read width differs from the row
-    /// width; if a mask does not cover exactly the stored rows; or if
-    /// `fault_rngs` is given without faults installed, or missing with
-    /// faults installed — a faulted device is never searched fault-free by
-    /// accident.
+    /// Panics if `reads`, `rows`, `rngs`, and (when given) `fault_rngs`
+    /// lengths differ; if any read width differs from the row width; if a
+    /// row list is not strictly ascending or names a row past the stored
+    /// ones; or if `fault_rngs` is given without faults installed, or
+    /// missing with faults installed — a faulted device is never searched
+    /// fault-free by accident.
     #[must_use]
     pub fn search(
         &self,
         reads: &[PackedSeq],
         threshold: usize,
         mode: MatchMode,
-        masks: Option<&[RowMask]>,
+        rows: &[Option<Vec<usize>>],
         rngs: &mut [Rng],
         mut fault_rngs: Option<&mut [Rng]>,
     ) -> Vec<DeviceSearchResult> {
+        assert_eq!(reads.len(), rows.len(), "one row list per batched read");
         assert_eq!(
             reads.len(),
             rngs.len(),
@@ -490,15 +386,15 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         for read in reads {
             assert_eq!(read.len(), self.width, "read must match the row width");
         }
-        if let Some(masks) = masks {
-            assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-            for mask in masks {
-                assert_eq!(
-                    mask.len(),
-                    self.origins.len(),
-                    "mask must cover the stored rows"
-                );
-            }
+        for list in rows.iter().flatten() {
+            assert!(
+                list.windows(2).all(|pair| pair[0] < pair[1]),
+                "row list must be strictly ascending"
+            );
+            assert!(
+                list.last().is_none_or(|&last| last < self.origins.len()),
+                "row list names a row past the stored ones"
+            );
         }
         let mut results: Vec<DeviceSearchResult> = reads
             .iter()
@@ -507,26 +403,29 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
                 stats: SearchStats::default(),
             })
             .collect();
-        let mut rows: Vec<usize> = Vec::new();
+        // How far each read's list has been walked: the arrays go by in
+        // storage order, so every read's next listed row is at its cursor.
+        let mut cursors = vec![0usize; reads.len()];
+        let mut local: Vec<usize> = Vec::new();
         let mut flat_base = 0usize;
         for (array_idx, array) in self.arrays.iter().enumerate() {
             if array.rows() == 0 {
                 continue;
             }
+            let flat_end = flat_base + array.rows();
             for (i, (read, result)) in reads.iter().zip(&mut results).enumerate() {
-                let listed = match masks {
+                let listed = match &rows[i] {
                     None => None,
-                    Some(masks) => {
-                        rows.clear();
-                        rows.extend(
-                            masks[i]
-                                .ones_in(flat_base..flat_base + array.rows())
-                                .map(|flat| flat - flat_base),
-                        );
-                        if rows.is_empty() {
+                    Some(list) => {
+                        let rest = &list[cursors[i]..];
+                        let here = rest.partition_point(|&flat| flat < flat_end);
+                        if here == 0 {
                             continue;
                         }
-                        Some(rows.as_slice())
+                        cursors[i] += here;
+                        local.clear();
+                        local.extend(rest[..here].iter().map(|&flat| flat - flat_base));
+                        Some(local.as_slice())
                     }
                 };
                 let mut tally = FaultTally::default();
@@ -542,55 +441,61 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
                     .max(array.sense().cam().search_time_s());
                 result.stats.resensed += tally.resensed;
                 result.stats.requarried += tally.requarried;
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
+                result
+                    .matches
+                    .extend(outcome.matches.iter().map(|&(row, n_mis)| DeviceMatch {
+                        id: RowId {
+                            array: array_idx,
+                            row,
+                        },
+                        origin: self.origins[flat_base + row],
+                        n_mis,
+                    }));
             }
-            flat_base += array.rows();
+            flat_base = flat_end;
         }
         results
     }
 
-    /// The [`RowMask`] (flat storage order) selecting every stored row
-    /// whose genome origin appears in `origins`.
+    /// The flat row ids (storage order, ascending) of every stored row
+    /// whose genome origin appears in `origins` — the row list
+    /// [`AsmcapDevice::search`] takes for a prefilter shortlist.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first origin in `origins` that no stored row holds.
     ///
     /// # Panics
     ///
-    /// Panics if `origins` is not sorted ascending (the shape the
+    /// Panics if `origins` is not strictly ascending (the shape the
     /// prefilter's shortlist hands over).
-    #[must_use]
-    pub fn mask_for_origins(&self, origins: &[usize]) -> RowMask {
+    pub fn rows_for_origins(&self, origins: &[usize]) -> Result<Vec<usize>, usize> {
         assert!(
-            origins.windows(2).all(|pair| pair[0] <= pair[1]),
-            "candidate origins must be sorted ascending"
+            origins.windows(2).all(|pair| pair[0] < pair[1]),
+            "candidate origins must be strictly ascending"
         );
-        let mut mask = RowMask::new(self.origins.len());
         if self.origins_sorted {
             // One stored reference: each candidate binary-searches straight
-            // to its row, so mask construction is O(c log rows) — a
-            // shortlist must not cost O(reference) to apply.
-            for &origin in origins {
-                if let Ok(flat) = self.origins.binary_search(&origin) {
-                    mask.set(flat);
+            // to its row, so the lookup is O(c log rows) — a shortlist must
+            // not cost O(reference) to apply.
+            origins
+                .iter()
+                .map(|origin| self.origins.binary_search(origin).map_err(|_| *origin))
+                .collect()
+        } else {
+            let mut found = vec![false; origins.len()];
+            let mut rows = Vec::new();
+            for (flat, origin) in self.origins.iter().enumerate() {
+                if let Ok(i) = origins.binary_search(origin) {
+                    found[i] = true;
+                    rows.push(flat);
                 }
             }
-        } else {
-            for (flat, origin) in self.origins.iter().enumerate() {
-                if origins.binary_search(origin).is_ok() {
-                    mask.set(flat);
-                }
+            match origins.iter().zip(&found).find(|(_, &found)| !found) {
+                Some((&origin, _)) => Err(origin),
+                None => Ok(rows),
             }
         }
-        mask
     }
 }
 
@@ -615,7 +520,7 @@ mod tests {
         read: &PackedSeq,
         threshold: usize,
         mode: MatchMode,
-        mask: Option<&RowMask>,
+        rows: Option<&[usize]>,
         rng: &mut Rng,
         fault_rng: Option<&mut Rng>,
     ) -> DeviceSearchResult {
@@ -624,7 +529,7 @@ mod tests {
                 std::slice::from_ref(read),
                 threshold,
                 mode,
-                mask.map(std::slice::from_ref),
+                &[rows.map(<[_]>::to_vec)],
                 std::slice::from_mut(rng),
                 fault_rng.map(std::slice::from_mut),
             )
@@ -695,7 +600,7 @@ mod tests {
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 15);
         device.store_reference(&genome, 16).unwrap();
         let read = PackedSeq::from_seq(&genome.window(320..384));
-        let mask = RowMask::full(device.stored_rows());
+        let all: Vec<usize> = (0..device.stored_rows()).collect();
         for t in [0usize, 2, 6] {
             let mut rng_a = rng(21);
             let mut rng_b = rng(21);
@@ -705,11 +610,11 @@ mod tests {
                 &read,
                 t,
                 MatchMode::EdStar,
-                Some(&mask),
+                Some(&all),
                 &mut rng_b,
                 None,
             );
-            assert_eq!(full, masked, "full mask diverged at T={t}");
+            assert_eq!(full, masked, "full row list diverged at T={t}");
             // A second search from the same streams agrees too, proving the
             // RNGs stayed in lockstep through the first one.
             assert_eq!(
@@ -727,7 +632,7 @@ mod tests {
                     &read,
                     t,
                     MatchMode::Hamming,
-                    Some(&mask),
+                    Some(&all),
                     &mut rng_b,
                     None
                 ),
@@ -743,15 +648,15 @@ mod tests {
         device.store_reference(&genome, 16).unwrap();
         let read = PackedSeq::from_seq(&genome.window(320..384));
         // Shortlist exactly the true origin: one row, one array searched.
-        let mask = device.mask_for_origins(&[320]);
-        assert_eq!(mask.count_ones(), 1);
+        let rows = device.rows_for_origins(&[320]).unwrap();
+        assert_eq!(rows, vec![20]);
         let mut noise = rng(22);
         let result = search_one(
             &device,
             &read,
             1,
             MatchMode::EdStar,
-            Some(&mask),
+            Some(&rows),
             &mut noise,
             None,
         );
@@ -765,14 +670,14 @@ mod tests {
         let full = search_one(&device, &read, 1, MatchMode::EdStar, None, &mut noise, None);
         assert!(result.stats.energy_j < full.stats.energy_j / 4.0);
 
-        // An all-clear mask issues no search at all.
+        // An empty row list issues no search at all.
         let mut noise = rng(23);
         let none = search_one(
             &device,
             &read,
             1,
             MatchMode::EdStar,
-            Some(&RowMask::new(device.stored_rows())),
+            Some(&[]),
             &mut noise,
             None,
         );
@@ -791,7 +696,14 @@ mod tests {
             .collect();
         for t in [0usize, 2, 6] {
             let mut batch_rngs: Vec<_> = (0..6).map(|i| rng(500 + i)).collect();
-            let batched = device.search(&reads, t, MatchMode::EdStar, None, &mut batch_rngs, None);
+            let batched = device.search(
+                &reads,
+                t,
+                MatchMode::EdStar,
+                &vec![None; 6],
+                &mut batch_rngs,
+                None,
+            );
             for (i, read) in reads.iter().enumerate() {
                 let mut solo_rng = rng(500 + i as u64);
                 let solo = search_one(
@@ -813,29 +725,25 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 42);
         device.store_reference(&genome, 16).unwrap();
-        let reads: Vec<PackedSeq> = (0..4)
-            .map(|i| PackedSeq::from_seq(&genome.window(i * 160..i * 160 + 64)))
+        let reads: Vec<PackedSeq> = (0..7)
+            .map(|i| PackedSeq::from_seq(&genome.window(i * 100..i * 100 + 64)))
             .collect();
-        // Per-read masks of very different sizes: an adversarially skewed
-        // shortlist (read 0 senses almost everything, read 3 one row).
-        let masks: Vec<RowMask> = (0..4)
-            .map(|i| {
-                let mut mask = RowMask::new(device.stored_rows());
-                for row in (0..device.stored_rows()).step_by(i * 8 + 1) {
-                    mask.set(row);
-                }
-                mask
-            })
-            .collect();
-        let mut batch_rngs: Vec<_> = (0..4).map(|i| rng(900 + i)).collect();
-        let batched = device.search(
-            &reads,
-            2,
-            MatchMode::EdStar,
-            Some(&masks),
-            &mut batch_rngs,
+        // Row lists of very different shapes (60 rows over arrays of 16):
+        // a full scan, an empty list, one row in the last array, a list
+        // spanning the first array boundary, and adversarially skewed
+        // strides (read 4 senses almost everything, read 6 one row per
+        // array).
+        let rows: Vec<Option<Vec<usize>>> = vec![
             None,
-        );
+            Some(vec![]),
+            Some(vec![59]),
+            Some(vec![14, 15, 16, 17]),
+            Some((0..60).step_by(2).collect()),
+            Some((0..60).step_by(9).collect()),
+            Some((0..60).step_by(16).collect()),
+        ];
+        let mut batch_rngs: Vec<_> = (0..7).map(|i| rng(900 + i)).collect();
+        let batched = device.search(&reads, 2, MatchMode::EdStar, &rows, &mut batch_rngs, None);
         for (i, read) in reads.iter().enumerate() {
             let mut solo_rng = rng(900 + i as u64);
             let solo = search_one(
@@ -843,55 +751,39 @@ mod tests {
                 read,
                 2,
                 MatchMode::EdStar,
-                Some(&masks[i]),
+                rows[i].as_deref(),
                 &mut solo_rng,
                 None,
             );
-            assert_eq!(batched[i], solo, "masked read {i} diverged");
+            assert_eq!(batched[i], solo, "listed read {i} diverged");
+            assert_eq!(batch_rngs[i].get_word_pos(), solo_rng.get_word_pos());
         }
-        // A batch whose masks are all-set degenerates to the unmasked batch.
-        let full: Vec<RowMask> = (0..4)
-            .map(|_| RowMask::full(device.stored_rows()))
-            .collect();
-        let mut a: Vec<_> = (0..4).map(|i| rng(31 + i)).collect();
-        let mut b: Vec<_> = (0..4).map(|i| rng(31 + i)).collect();
+        assert_eq!(batched[1].stats.array_searches, 0);
+        assert_eq!(batched[2].stats.array_searches, 1);
+        assert_eq!(batched[3].stats.array_searches, 2);
+        // A batch listing every row degenerates to the full-scan batch.
+        let full = vec![Some((0..device.stored_rows()).collect::<Vec<_>>()); 7];
+        let mut a: Vec<_> = (0..7).map(|i| rng(31 + i)).collect();
+        let mut b: Vec<_> = (0..7).map(|i| rng(31 + i)).collect();
         assert_eq!(
-            device.search(&reads, 2, MatchMode::EdStar, Some(&full), &mut a, None),
-            device.search(&reads, 2, MatchMode::EdStar, None, &mut b, None),
+            device.search(&reads, 2, MatchMode::EdStar, &full, &mut a, None),
+            device.search(&reads, 2, MatchMode::EdStar, &vec![None; 7], &mut b, None),
         );
     }
 
     #[test]
-    fn mask_for_origins_selects_matching_rows() {
+    fn rows_for_origins_selects_matching_rows() {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(20, 64, 64), 17);
         device.store_reference(&genome, 64).unwrap();
-        let mask = device.mask_for_origins(&[0, 192, 640]);
-        assert_eq!(mask.count_ones(), 3);
-        assert!(mask.get(0) && mask.get(3) && mask.get(10));
-        assert!(!mask.get(1));
-        // Origins not on the stored grid simply select nothing.
-        let empty = device.mask_for_origins(&[1, 65]);
-        assert_eq!(empty.count_ones(), 0);
+        assert_eq!(device.rows_for_origins(&[0, 192, 640]), Ok(vec![0, 3, 10]));
+        // Origins not on the stored grid are reported, not dropped.
+        assert_eq!(device.rows_for_origins(&[1, 65]), Err(1));
+        assert_eq!(device.rows_for_origins(&[0, 65]), Err(65));
     }
 
     #[test]
-    fn row_mask_ones_in_walks_word_boundaries() {
-        let mut mask = RowMask::new(200);
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 199] {
-            mask.set(i);
-        }
-        let all: Vec<usize> = mask.ones_in(0..200).collect();
-        assert_eq!(all, vec![0, 1, 63, 64, 65, 127, 128, 199]);
-        assert_eq!(mask.ones_in(1..64).collect::<Vec<_>>(), vec![1, 63]);
-        assert_eq!(mask.ones_in(64..128).collect::<Vec<_>>(), vec![64, 65, 127]);
-        assert_eq!(mask.ones_in(65..65).count(), 0);
-        assert_eq!(mask.ones_in(130..199).count(), 0);
-        assert_eq!(mask.ones_in(0..500).count(), 8, "range clamps to len");
-    }
-
-    #[test]
-    fn mask_for_origins_survives_a_second_stored_reference() {
+    fn rows_for_origins_survives_a_second_stored_reference() {
         // Two references stored back to back: the flat origin list restarts
         // at 0, so the sorted binary-search fast path must disable itself
         // and the duplicate origin must select *both* rows.
@@ -900,9 +792,17 @@ mod tests {
         let g2 = GenomeModel::uniform().generate(offset_len(10, 64, 64), 32);
         device.store_reference(&g1, 64).unwrap();
         device.store_reference(&g2, 64).unwrap();
-        let mask = device.mask_for_origins(&[128]);
-        assert_eq!(mask.count_ones(), 2, "both stored copies of origin 128");
-        assert!(mask.get(2) && mask.get(12));
+        assert_eq!(
+            device.rows_for_origins(&[128]),
+            Ok(vec![2, 12]),
+            "both stored copies of origin 128"
+        );
+        assert_eq!(device.rows_for_origins(&[128, 129]), Err(129));
+        // A second reference may also restart exactly at the last origin.
+        let mut device = small_device();
+        device.store_reference(&g1.window(0..64), 64).unwrap();
+        device.store_reference(&g2, 64).unwrap();
+        assert_eq!(device.rows_for_origins(&[0]), Ok(vec![0, 1]));
     }
 
     #[test]
@@ -1016,58 +916,50 @@ mod tests {
         let reads: Vec<PackedSeq> = (0..5)
             .map(|i| PackedSeq::from_seq(&genome.window(i * 120..i * 120 + 64)))
             .collect();
-        let mut rngs: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
-        let mut fault_rngs: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
-        let batched = device.search(
-            &reads,
-            4,
-            MatchMode::EdStar,
+        // Full scans, every row listed, and partial lists: in a batch each
+        // read senses exactly as alone, fault stream included.
+        let all: Vec<usize> = (0..device.stored_rows()).collect();
+        let partial = vec![
+            Some(vec![3, 17, 40]),
             None,
-            &mut rngs,
-            Some(&mut fault_rngs),
-        );
-        for (i, read) in reads.iter().enumerate() {
-            let solo = search_one(
-                &device,
-                read,
-                4,
-                MatchMode::EdStar,
-                None,
-                &mut rng(700 + i as u64),
-                Some(&mut plan.read_fault_rng(700 + i as u64)),
-            );
-            assert_eq!(batched[i], solo, "faulted read {i} diverged");
-        }
-        // Masked with a full mask degenerates to the unmasked faulted walk.
-        let mask = RowMask::full(device.stored_rows());
-        for (i, read) in reads.iter().enumerate() {
-            let masked = search_one(
-                &device,
-                read,
-                4,
-                MatchMode::EdStar,
-                Some(&mask),
-                &mut rng(700 + i as u64),
-                Some(&mut plan.read_fault_rng(700 + i as u64)),
-            );
-            assert_eq!(batched[i], masked, "masked faulted read {i} diverged");
-        }
-        let masks: Vec<RowMask> = (0..5)
-            .map(|_| RowMask::full(device.stored_rows()))
+            Some(vec![]),
+            Some(vec![59]),
+            Some((10..34).collect()),
+        ];
+        let batches: Vec<_> = [vec![None; 5], vec![Some(all); 5], partial]
+            .iter()
+            .map(|rows| {
+                let mut rngs: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
+                let mut fault_rngs: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
+                let batched = device.search(
+                    &reads,
+                    4,
+                    MatchMode::EdStar,
+                    rows,
+                    &mut rngs,
+                    Some(&mut fault_rngs),
+                );
+                for (i, read) in reads.iter().enumerate() {
+                    let mut solo = rng(700 + i as u64);
+                    let mut solo_fault = plan.read_fault_rng(700 + i as u64);
+                    let want = search_one(
+                        &device,
+                        read,
+                        4,
+                        MatchMode::EdStar,
+                        rows[i].as_deref(),
+                        &mut solo,
+                        Some(&mut solo_fault),
+                    );
+                    assert_eq!(batched[i], want, "faulted read {i} diverged");
+                    assert_eq!(rngs[i].get_word_pos(), solo.get_word_pos());
+                    assert_eq!(fault_rngs[i].get_word_pos(), solo_fault.get_word_pos());
+                }
+                batched
+            })
             .collect();
-        let mut rngs2: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
-        let mut fault_rngs2: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
-        assert_eq!(
-            device.search(
-                &reads,
-                4,
-                MatchMode::EdStar,
-                Some(&masks),
-                &mut rngs2,
-                Some(&mut fault_rngs2)
-            ),
-            batched,
-        );
+        // Listing every row degenerates to the full-scan faulted walk.
+        assert_eq!(batches[0], batches[1]);
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn bench_device_batch_search(c: &mut Criterion) {
                 .chunks(1)
                 .zip(rngs.chunks_mut(1))
                 .flat_map(|(read, r)| {
-                    device.search(black_box(read), 8, MatchMode::EdStar, None, r, None)
+                    device.search(black_box(read), 8, MatchMode::EdStar, &[None], r, None)
                 })
                 .map(|result| result.matches.len())
                 .sum::<usize>()
@@ -134,7 +134,7 @@ fn bench_device_batch_search(c: &mut Criterion) {
                     black_box(&reads),
                     8,
                     MatchMode::EdStar,
-                    None,
+                    &vec![None; batch],
                     &mut rngs,
                     None,
                 )
@@ -146,6 +146,11 @@ fn bench_device_batch_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// One device search: a full scan of 16 stride-1 arrays, and a
+/// shortlisted batch at the mapping workloads' shape (32 arrays × 256
+/// rows of 128 cells, stride 8, T = 6) where four reads list 3–6 rows
+/// each, spread over several arrays. Throughput counts sensed rows, so the
+/// shortlisted case shows what a search costs beyond the rows it senses.
 fn bench_device_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("device_search");
     group.sample_size(10);
@@ -160,10 +165,48 @@ fn bench_device_search(c: &mut Criterion) {
         .build_asmcap();
     device.store_reference(&reference, 1).unwrap();
     let read = [PackedSeq::from_seq(&reference.window(1000..1000 + width))];
-    let mut r = [rng(5)];
+    let (mut r, full) = ([rng(5)], [None]);
     group.throughput(Throughput::Elements(device.stored_rows() as u64));
     group.bench_function("asmcap_16_arrays_stride1", |bencher| {
-        bencher.iter(|| device.search(black_box(&read), 8, MatchMode::EdStar, None, &mut r, None));
+        bencher.iter(|| device.search(black_box(&read), 8, MatchMode::EdStar, &full, &mut r, None));
+    });
+
+    let (width, stride, arrays) = (128usize, 8usize, 32usize);
+    let reference = genome((arrays * 256 - 1) * stride + width);
+    let mut device = DeviceBuilder::new()
+        .arrays(arrays)
+        .rows_per_array(256)
+        .row_width(width)
+        .build_asmcap();
+    device.store_reference(&reference, stride).unwrap();
+    let rows: Vec<Option<Vec<usize>>> = vec![
+        Some(vec![300, 301, 4_000]),
+        Some(vec![10, 1_500, 1_501, 7_900]),
+        Some(vec![255, 256, 3_100, 5_000, 8_191]),
+        Some(vec![700, 701, 702, 2_600, 4_444, 6_000]),
+    ];
+    let reads: Vec<PackedSeq> = rows
+        .iter()
+        .flatten()
+        .map(|list| {
+            let origin = list[1] * stride;
+            PackedSeq::from_seq(&reference.window(origin..origin + width))
+        })
+        .collect();
+    let sensed: usize = rows.iter().flatten().map(Vec::len).sum();
+    group.throughput(Throughput::Elements(sensed as u64));
+    group.bench_function("asmcap_32_arrays_shortlisted", |bencher| {
+        bencher.iter(|| {
+            let mut rngs: Vec<_> = (0..reads.len() as u64).map(rng).collect();
+            device.search(
+                black_box(&reads),
+                6,
+                MatchMode::EdStar,
+                black_box(&rows),
+                &mut rngs,
+                None,
+            )
+        });
     });
     group.finish();
 }

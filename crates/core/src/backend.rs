@@ -27,12 +27,14 @@
 //! They also all honour a prefilter shortlist: when the pipeline's k-mer
 //! prefilter is on, only shortlisted segment starts reach the kernels — the
 //! software and pair paths skip unlisted segments outright, and the device
-//! path senses only the masked-in rows through one
-//! [`asmcap_arch::AsmcapDevice::search`] per search stage.
+//! path maps each read's starts to its ascending list of stored rows once
+//! per batch, then senses only those rows through one
+//! [`asmcap_arch::AsmcapDevice::search`] per search stage. A shortlisted
+//! start no stored segment begins at panics alike on all three.
 
 use crate::hdac::HdacParams;
 use crate::tasr::TasrParams;
-use asmcap_arch::{AsmcapDevice, DeviceSearchResult, FaultPlan, MatchMode, RowMask};
+use asmcap_arch::{AsmcapDevice, DeviceSearchResult, FaultPlan, MatchMode};
 use asmcap_circuit::ChargeDomainCam;
 use asmcap_genome::{DnaSeq, ErrorProfile, PackedRef, PackedSeq};
 use asmcap_metrics::ed_star_packed;
@@ -127,7 +129,8 @@ pub trait MappingBackend: Send + Sync {
     ///
     /// The built-ins panic if `reads`, `seeds`, and `shortlists` lengths
     /// differ, any read width differs from the row width, or a shortlist
-    /// is not strictly ascending.
+    /// is not strictly ascending or lists a start no stored segment begins
+    /// at.
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],
@@ -160,6 +163,23 @@ pub(crate) fn check_batch(
             "shortlist must be strictly ascending"
         );
     }
+}
+
+/// Checks every shortlisted start against a backend's ascending stored
+/// `starts`, for the backends that index the reference by start.
+fn check_stored(starts: &[usize], shortlists: &[Option<Vec<usize>>]) {
+    for &start in shortlists.iter().flatten().flatten() {
+        if starts.binary_search(&start).is_err() {
+            unstored_start(start);
+        }
+    }
+}
+
+/// The one panic every built-in backend raises for a shortlisted start no
+/// stored segment begins at (off the stride grid, or past the last row).
+fn unstored_start(start: usize) -> ! {
+    // lint: panic-ok — the documented `map_batch_shortlisted` contract
+    panic!("shortlist start {start} is not a stored segment start")
 }
 
 /// The segment start offsets a `width`-row backend stores for `reference`
@@ -251,12 +271,12 @@ impl DeviceBackend {
     /// **whole read queue** through one [`AsmcapDevice::search`]. Read `i`
     /// draws its sensing noise, host-side HDAC draw, and (with a fault plan
     /// armed) fault events from its own seed-derived streams, so its
-    /// outcome depends only on `(reads[i], seeds[i], masks[i])`.
+    /// outcome depends only on `(reads[i], seeds[i], rows[i])`.
     fn run(
         &self,
         reads: &[PackedSeq],
         seeds: &[u64],
-        masks: Option<&[RowMask]>,
+        rows: &[Option<Vec<usize>>],
     ) -> Vec<BackendOutcome> {
         let t = self.config.threshold;
         // One stream for sensing noise and one for the host-side HDAC draw
@@ -277,7 +297,7 @@ impl DeviceBackend {
                 queue,
                 t,
                 mode,
-                masks,
+                rows,
                 &mut sense_rngs,
                 fault_rngs.as_deref_mut(),
             );
@@ -351,10 +371,10 @@ impl MappingBackend for DeviceBackend {
         self.device.row_width()
     }
 
-    /// An all-full-scan queue drains unmasked; any shortlisted read
-    /// switches the queue to the masked drain, with full-scan reads
-    /// carrying [`RowMask::full`] (pinned byte-identical to the unmasked
-    /// search at the arch layer).
+    /// Each shortlist becomes that read's ascending list of stored rows
+    /// once per batch ([`AsmcapDevice::rows_for_origins`]); a full-scan read
+    /// passes through as `None`, so a mixed batch drains every read exactly
+    /// as it would alone.
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],
@@ -362,18 +382,17 @@ impl MappingBackend for DeviceBackend {
         shortlists: &[Option<Vec<usize>>],
     ) -> Vec<BackendOutcome> {
         check_batch(self.row_width(), reads, seeds, shortlists);
-        if shortlists.iter().all(Option::is_none) {
-            self.run(reads, seeds, None)
-        } else {
-            let masks: Vec<RowMask> = shortlists
-                .iter()
-                .map(|shortlist| match shortlist {
-                    None => RowMask::full(self.device.stored_rows()),
-                    Some(candidates) => self.device.mask_for_origins(candidates),
+        let rows: Vec<Option<Vec<usize>>> = shortlists
+            .iter()
+            .map(|shortlist| {
+                shortlist.as_deref().map(|starts| {
+                    self.device
+                        .rows_for_origins(starts)
+                        .unwrap_or_else(|start| unstored_start(start))
                 })
-                .collect();
-            self.run(reads, seeds, Some(&masks))
-        }
+            })
+            .collect();
+        self.run(reads, seeds, &rows)
     }
 }
 
@@ -464,6 +483,7 @@ impl MappingBackend for PairBackend {
         shortlists: &[Option<Vec<usize>>],
     ) -> Vec<BackendOutcome> {
         check_batch(self.width, reads, seeds, shortlists);
+        check_stored(&self.starts, shortlists);
         reads
             .iter()
             .zip(seeds)
@@ -543,6 +563,7 @@ impl MappingBackend for SoftwareBackend {
         shortlists: &[Option<Vec<usize>>],
     ) -> Vec<BackendOutcome> {
         check_batch(self.width, reads, seeds, shortlists);
+        check_stored(&self.starts, shortlists);
         reads
             .iter()
             .zip(shortlists)
@@ -702,41 +723,91 @@ mod tests {
 
     #[test]
     fn duplicated_shortlist_panics_alike_on_every_backend() {
+        // Stride 8 over 1,024 bases: stored starts 0, 8, .., 960.
         let genome = GenomeModel::uniform().generate(1_024, 14);
         let backends: [Box<dyn MappingBackend>; 3] = [
             Box::new(DeviceBackend::new(
-                device_for(&genome, 64, 1),
+                device_for(&genome, 64, 8),
                 MapperConfig::plain(2),
             )),
             Box::new(PairBackend::new(
                 genome.clone(),
-                1,
+                8,
                 64,
                 MapperConfig::plain(2),
             )),
-            Box::new(SoftwareBackend::new(genome.clone(), 1, 64, 2)),
+            Box::new(SoftwareBackend::new(genome.clone(), 8, 64, 2)),
         ];
         let read = PackedSeq::from_seq(&genome.window(200..264));
-        for backend in &backends {
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                backend.map_batch_shortlisted(
-                    std::slice::from_ref(&read),
-                    &[1],
-                    &[Some(vec![200, 200])],
-                )
-            }))
-            .expect_err("a duplicated shortlist must panic");
-            let message = panic
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or_default();
-            assert_eq!(
-                message,
-                "shortlist must be strictly ascending",
-                "{} backend",
-                backend.name()
-            );
+        let cases = [
+            (vec![200, 200], "shortlist must be strictly ascending"),
+            (vec![3], "shortlist start 3 is not a stored segment start"),
+            (
+                vec![200, 968],
+                "shortlist start 968 is not a stored segment start",
+            ),
+        ];
+        for (shortlist, expected) in cases {
+            for backend in &backends {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    backend.map_batch_shortlisted(
+                        std::slice::from_ref(&read),
+                        &[1],
+                        &[Some(shortlist.clone())],
+                    )
+                }))
+                .expect_err("a bad shortlist must panic");
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert_eq!(
+                    message,
+                    expected,
+                    "{} backend, shortlist {shortlist:?}",
+                    backend.name()
+                );
+            }
         }
+    }
+
+    #[test]
+    fn mixed_shortlist_batch_maps_each_read_as_alone() {
+        let genome = GenomeModel::uniform().generate(4_096, 15);
+        let backend = DeviceBackend::new(
+            device_for(&genome, 64, 8),
+            MapperConfig::paper(4, ErrorProfile::condition_a()),
+        );
+        let reads: Vec<PackedSeq> = [96usize, 800, 1_600, 2_400, 3_200]
+            .iter()
+            .map(|&origin| PackedSeq::from_seq(&genome.window(origin..origin + 64)))
+            .collect();
+        let seeds = [11u64, 12, 13, 14, 15];
+        // Full scans between shortlists that span several 64-row arrays,
+        // miss the origin, or are empty.
+        let shortlists = vec![
+            None,
+            Some(vec![0, 504, 800, 1_600, 3_000]),
+            None,
+            Some(vec![]),
+            Some(vec![8, 3_200]),
+        ];
+        let batched = backend.map_batch_shortlisted(&reads, &seeds, &shortlists);
+        for (i, read) in reads.iter().enumerate() {
+            let alone = backend
+                .map_batch_shortlisted(
+                    std::slice::from_ref(read),
+                    &seeds[i..=i],
+                    &shortlists[i..=i],
+                )
+                .pop()
+                .expect("one outcome per read");
+            assert_eq!(batched[i], alone, "read {i} diverged in the mixed batch");
+        }
+        assert!(batched[0].positions.contains(&96));
+        assert!(batched[1].positions.contains(&800));
+        assert!(batched[3].positions.is_empty());
+        assert!(batched[4].positions.contains(&3_200));
     }
 }

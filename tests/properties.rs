@@ -328,7 +328,7 @@ proptest! {
         let mut rng = asmcap_circuit::rng(seed ^ 0xF00D);
         let read = asmcap_genome::PackedSeq::from_seq(&genome.window(row * width..(row + 1) * width));
         let result = device
-            .search(&[read], 1, MatchMode::EdStar, None, std::slice::from_mut(&mut rng), None)
+            .search(&[read], 1, MatchMode::EdStar, &[None], std::slice::from_mut(&mut rng), None)
             .remove(0);
         prop_assert!(
             result.matches.iter().any(|m| m.origin == row * width && m.n_mis == 0),
