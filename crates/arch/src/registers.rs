@@ -4,7 +4,7 @@
 //! base-by-base while the enable signal is asserted — the hardware that
 //! implements the TASR strategy's rotated searches without re-fetching the
 //! read from the global buffer. The software model computes each rotated
-//! read word-parallel (`asmcap::RotationSchedule::rotated_packed`); this
+//! read word-parallel (`asmcap::RotationSchedule::rotated`); this
 //! module keeps the rotation direction both share.
 
 use std::fmt;

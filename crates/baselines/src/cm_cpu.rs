@@ -20,13 +20,13 @@ use std::time::Instant;
 /// ```
 /// use asmcap::AsmMatcher;
 /// use asmcap_baselines::CmCpuAligner;
-/// use asmcap_genome::DnaSeq;
+/// use asmcap_genome::{DnaSeq, PackedSeq};
 ///
 /// let mut cpu = CmCpuAligner::new();
-/// let a: DnaSeq = "ACGTACGT".parse()?;
-/// let b: DnaSeq = "ACGAACGT".parse()?;
-/// assert!(cpu.matches(a.as_slice(), b.as_slice(), 1).matched);
-/// assert!(!cpu.matches(a.as_slice(), b.as_slice(), 0).matched);
+/// let a = PackedSeq::from_seq(&"ACGTACGT".parse::<DnaSeq>()?);
+/// let b = PackedSeq::from_seq(&"ACGAACGT".parse::<DnaSeq>()?);
+/// assert!(cpu.matches(&a, &b, 1).matched);
+/// assert!(!cpu.matches(&a, &b, 0).matched);
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,16 +76,7 @@ impl CmCpuAligner {
 }
 
 impl AsmMatcher for CmCpuAligner {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        MatchOutcome::plain(edit_distance_banded(segment, read, threshold).is_some())
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
         MatchOutcome::plain(edit_distance_banded_packed(segment, read, threshold).is_some())
     }
 
@@ -106,29 +97,29 @@ mod tests {
         let mut bases = a.clone().into_bases();
         bases[5] = bases[5].substituted(1);
         bases[64] = bases[64].substituted(2);
-        let b = asmcap_genome::DnaSeq::from_bases(bases);
+        let b = PackedSeq::from_bases(&bases);
+        let a = PackedSeq::from_seq(&a);
         let mut cpu = CmCpuAligner::new();
-        assert!(!cpu.matches(a.as_slice(), b.as_slice(), 1).matched);
-        assert!(cpu.matches(a.as_slice(), b.as_slice(), 2).matched);
+        assert!(!cpu.matches(&a, &b, 1).matched);
+        assert!(cpu.matches(&a, &b, 2).matched);
     }
 
     #[test]
     fn packed_matcher_agrees_with_slice_matcher() {
+        // The packed decision against the base-slice banded DP of
+        // `distance_within`.
         let genome = GenomeModel::uniform().generate(600, 3);
         let a = genome.window(0..128);
         let mut bases = a.clone().into_bases();
         bases.remove(40);
         bases.push(asmcap_genome::Base::G);
-        let b = asmcap_genome::DnaSeq::from_bases(bases);
+        let (pa, pb) = (PackedSeq::from_seq(&a), PackedSeq::from_bases(&bases));
         let mut cpu = CmCpuAligner::new();
         for t in [0usize, 1, 2, 8] {
+            let within = cpu.distance_within(a.as_slice(), &bases, t).is_some();
             assert_eq!(
-                cpu.matches(a.as_slice(), b.as_slice(), t),
-                cpu.matches_packed(
-                    &asmcap_genome::PackedSeq::from_seq(&a),
-                    &asmcap_genome::PackedSeq::from_seq(&b),
-                    t,
-                ),
+                cpu.matches(&pa, &pb, t),
+                MatchOutcome::plain(within),
                 "T={t}"
             );
         }

@@ -52,13 +52,13 @@ impl KrakenMode {
 /// ```
 /// use asmcap::AsmMatcher;
 /// use asmcap_baselines::{KrakenClassifier, KrakenMode};
-/// use asmcap_genome::DnaSeq;
+/// use asmcap_genome::{DnaSeq, PackedSeq};
 ///
 /// let mut kraken = KrakenClassifier::new(KrakenMode::Exact);
-/// let s: DnaSeq = "ACGTACGT".parse()?;
-/// let r: DnaSeq = "ACGTACGA".parse()?;
-/// assert!(kraken.matches(s.as_slice(), s.as_slice(), 0).matched);
-/// assert!(!kraken.matches(s.as_slice(), r.as_slice(), 8).matched);
+/// let s = PackedSeq::from_seq(&"ACGTACGT".parse::<DnaSeq>()?);
+/// let r = PackedSeq::from_seq(&"ACGTACGA".parse::<DnaSeq>()?);
+/// assert!(kraken.matches(&s, &s, 0).matched);
+/// assert!(!kraken.matches(&s, &r, 8).matched);
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -94,11 +94,24 @@ impl KrakenClassifier {
 }
 
 impl AsmMatcher for KrakenClassifier {
-    fn matches(&mut self, segment: &[Base], read: &[Base], _threshold: usize) -> MatchOutcome {
+    fn matches(
+        &mut self,
+        segment: &PackedSeq,
+        read: &PackedSeq,
+        _threshold: usize,
+    ) -> MatchOutcome {
         let matched = match self.mode {
+            // Exact identity is a word compare on the packings — 32 bases
+            // per comparison, no unpack.
             KrakenMode::Exact => segment == read,
+            // Kraken2's real k = 35 exceeds the 32-base packed-code limit,
+            // so the k-mer mode unpacks once and scans byte windows.
             KrakenMode::KmerHit { k, min_fraction } => {
-                let fraction = Self::kmer_hit_fraction(k, segment, read);
+                let fraction = Self::kmer_hit_fraction(
+                    k,
+                    segment.to_seq().as_slice(),
+                    read.to_seq().as_slice(),
+                );
                 if min_fraction == 0.0 {
                     fraction > 0.0
                 } else {
@@ -107,26 +120,6 @@ impl AsmMatcher for KrakenClassifier {
             }
         };
         MatchOutcome::plain(matched)
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        match self.mode {
-            // Exact identity is a word compare on the packings — 32 bases
-            // per comparison, no unpack.
-            KrakenMode::Exact => MatchOutcome::plain(segment == read),
-            // Kraken2's real k = 35 exceeds the 32-base packed-code limit,
-            // so the k-mer mode keeps the byte-windowed scan.
-            KrakenMode::KmerHit { .. } => self.matches(
-                segment.to_seq().as_slice(),
-                read.to_seq().as_slice(),
-                threshold,
-            ),
-        }
     }
 
     fn name(&self) -> &str {
@@ -142,15 +135,20 @@ mod tests {
     use super::*;
     use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, ReadSampler};
 
+    fn packed(s: &DnaSeq) -> PackedSeq {
+        PackedSeq::from_seq(s)
+    }
+
     #[test]
     fn exact_mode_requires_identity() {
         let mut kraken = KrakenClassifier::new(KrakenMode::Exact);
         let s = GenomeModel::uniform().generate(256, 1);
-        assert!(kraken.matches(s.as_slice(), s.as_slice(), 0).matched);
         let mut bases = s.clone().into_bases();
         bases[0] = bases[0].substituted(0);
-        let r = DnaSeq::from_bases(bases);
-        assert!(!kraken.matches(s.as_slice(), r.as_slice(), 16).matched);
+        let r = PackedSeq::from_bases(&bases);
+        let s = packed(&s);
+        assert!(kraken.matches(&s, &s, 0).matched);
+        assert!(!kraken.matches(&s, &r, 16).matched);
     }
 
     #[test]
@@ -164,10 +162,8 @@ mod tests {
         let accepted = reads
             .iter()
             .filter(|r| {
-                let segment = r.aligned_segment(&genome);
-                kraken
-                    .matches(segment.as_slice(), r.bases.as_slice(), 8)
-                    .matched
+                let segment = packed(&r.aligned_segment(&genome));
+                kraken.matches(&segment, &packed(&r.bases), 8).matched
             })
             .count();
         let rate = accepted as f64 / reads.len() as f64;
@@ -184,50 +180,44 @@ mod tests {
         let segment = genome.window(0..256);
         let mut bases = segment.clone().into_bases();
         bases[128] = bases[128].substituted(0); // one substitution
-        let read = DnaSeq::from_bases(bases);
+        let (segment, read) = (packed(&segment), PackedSeq::from_bases(&bases));
         let mut kraken = KrakenClassifier::new(KrakenMode::kraken2_defaults());
-        assert!(
-            kraken
-                .matches(segment.as_slice(), read.as_slice(), 0)
-                .matched
-        );
+        assert!(kraken.matches(&segment, &read, 0).matched);
         let mut exact = KrakenClassifier::new(KrakenMode::Exact);
-        assert!(
-            !exact
-                .matches(segment.as_slice(), read.as_slice(), 0)
-                .matched
-        );
+        assert!(!exact.matches(&segment, &read, 0).matched);
     }
 
     #[test]
     fn packed_matcher_agrees_with_slice_matcher() {
+        // The packed decision against the base-slice rules: identity for
+        // the exact mode, a k-mer hit fraction over byte windows for the
+        // k-mer mode.
         let genome = GenomeModel::uniform().generate(1_000, 8);
         let segment = genome.window(0..256);
         let mut bases = segment.clone().into_bases();
         bases[100] = bases[100].substituted(2);
         let near = DnaSeq::from_bases(bases);
-        for mode in [KrakenMode::Exact, KrakenMode::kraken2_defaults()] {
-            let mut kraken = KrakenClassifier::new(mode);
-            for read in [&segment, &near] {
-                assert_eq!(
-                    kraken.matches(segment.as_slice(), read.as_slice(), 0),
-                    kraken.matches_packed(
-                        &asmcap_genome::PackedSeq::from_seq(&segment),
-                        &asmcap_genome::PackedSeq::from_seq(read),
-                        0,
-                    ),
-                    "{mode:?}"
-                );
+        let decoy = genome.window(500..756);
+        for read in [&segment, &near, &decoy] {
+            let exact = segment == *read;
+            let hit = KrakenClassifier::kmer_hit_fraction(35, segment.as_slice(), read.as_slice());
+            for (mode, expected) in [
+                (KrakenMode::Exact, exact),
+                (KrakenMode::kraken2_defaults(), hit > 0.0),
+            ] {
+                let outcome =
+                    KrakenClassifier::new(mode).matches(&packed(&segment), &packed(read), 0);
+                assert_eq!(outcome, MatchOutcome::plain(expected), "{mode:?}");
             }
         }
     }
 
     #[test]
     fn kmer_mode_rejects_decoys() {
-        let a = GenomeModel::uniform().generate(256, 5);
-        let b = GenomeModel::uniform().generate(256, 6);
+        let a = packed(&GenomeModel::uniform().generate(256, 5));
+        let b = packed(&GenomeModel::uniform().generate(256, 6));
         let mut kraken = KrakenClassifier::new(KrakenMode::kraken2_defaults());
-        assert!(!kraken.matches(a.as_slice(), b.as_slice(), 16).matched);
+        assert!(!kraken.matches(&a, &b, 16).matched);
     }
 
     #[test]
@@ -238,21 +228,13 @@ mod tests {
         for i in [40usize, 80, 120, 160, 200] {
             bases[i] = bases[i].substituted(0);
         }
-        let read = DnaSeq::from_bases(bases);
+        let (segment, read) = (packed(&segment), PackedSeq::from_bases(&bases));
         let mut loose = KrakenClassifier::new(KrakenMode::kraken2_defaults());
         let mut strict = KrakenClassifier::new(KrakenMode::KmerHit {
             k: 35,
             min_fraction: 0.8,
         });
-        assert!(
-            loose
-                .matches(segment.as_slice(), read.as_slice(), 0)
-                .matched
-        );
-        assert!(
-            !strict
-                .matches(segment.as_slice(), read.as_slice(), 0)
-                .matched
-        );
+        assert!(loose.matches(&segment, &read, 0).matched);
+        assert!(!strict.matches(&segment, &read, 0).matched);
     }
 }

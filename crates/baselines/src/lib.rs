@@ -14,6 +14,14 @@
 //!   accuracy normalisation baseline;
 //! * [`perf`] — the Fig. 8 latency/energy models with every calibrated
 //!   constant documented in one place.
+//!
+//! Every comparator implements [`asmcap::AsmMatcher`], whose one entry
+//! point takes 2-bit packed operands, and makes each decision through one
+//! procedure: SaVI's seed votes and ReSMA's CAM filter roll their k-mer
+//! codes straight out of the packed words. Two paths still unpack once,
+//! because their models are base-indexed: ReSMA's crossbar wavefront (for
+//! filter survivors only) and Kraken2's 35-mer scan, whose `k` exceeds the
+//! 32-base packed-code limit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

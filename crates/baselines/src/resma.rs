@@ -15,7 +15,7 @@
 //! The per-step latency/energy model for Fig. 8 lives in [`crate::perf`].
 
 use asmcap::{AsmMatcher, MatchOutcome};
-use asmcap_genome::kmer::{kmers, packed_kmers, KmerIndex};
+use asmcap_genome::kmer::{packed_kmers, KmerIndex};
 use asmcap_genome::{Base, PackedSeq, PackedWords};
 
 /// The ReSMA functional model.
@@ -25,12 +25,12 @@ use asmcap_genome::{Base, PackedSeq, PackedWords};
 /// ```
 /// use asmcap::AsmMatcher;
 /// use asmcap_baselines::ResmaAccelerator;
-/// use asmcap_genome::GenomeModel;
+/// use asmcap_genome::{GenomeModel, PackedSeq};
 ///
 /// let genome = GenomeModel::uniform().generate(300, 1);
-/// let segment = genome.window(0..128);
+/// let segment = PackedSeq::from_seq(&genome.window(0..128));
 /// let mut resma = ResmaAccelerator::paper();
-/// let outcome = resma.matches(segment.as_slice(), segment.as_slice(), 0);
+/// let outcome = resma.matches(&segment, &segment, 0);
 /// assert!(outcome.matched);
 /// // Filter hit + full wavefront over the 2·128 non-trivial anti-diagonals.
 /// assert_eq!(outcome.cycles, 1 + 2 * 128);
@@ -64,28 +64,12 @@ impl ResmaAccelerator {
 
     /// The CAM filter: do read and segment share an exact `k`-mer whose
     /// alignment offsets differ by at most `threshold`?
+    ///
+    /// The CAM words are rolled straight out of the packed words on both
+    /// sides, so the filter — which rejects the overwhelming majority of
+    /// decoy pairs — never unpacks anything.
     #[must_use]
-    pub fn filter_passes(&self, segment: &[Base], read: &[Base], threshold: usize) -> bool {
-        let k = self.filter_k;
-        if read.len() < k || segment.len() < k {
-            // Degenerate rows: fall through to the exact stage.
-            return true;
-        }
-        let index = KmerIndex::build(segment, k).expect("filter k validated at construction");
-        kmers(read, k).any(|(read_pos, code)| {
-            index
-                .positions_of_code(code)
-                .iter()
-                .any(|&p| p.abs_diff(read_pos) <= threshold)
-        })
-    }
-
-    /// [`ResmaAccelerator::filter_passes`] over 2-bit packed operands: the
-    /// CAM words are rolled straight out of the packed words on both sides,
-    /// so the filter — which rejects the overwhelming majority of decoy
-    /// pairs — never unpacks anything.
-    #[must_use]
-    pub fn filter_passes_packed<S: PackedWords, R: PackedWords>(
+    pub fn filter_passes<S: PackedWords, R: PackedWords>(
         &self,
         segment: &S,
         read: &R,
@@ -192,39 +176,13 @@ impl ResmaAccelerator {
 }
 
 impl AsmMatcher for ResmaAccelerator {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        // Stage 1: one CAM filter cycle.
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
+        // Stage 1: one CAM filter cycle, fully packed. Only filter
+        // survivors (true pairs and near-misses, a small minority of a
+        // decoy-heavy sweep) pay the unpack for the base-indexed crossbar
+        // wavefront of stage 2.
         let mut cycles = 1u32;
         if !self.filter_passes(segment, read, threshold) {
-            return MatchOutcome {
-                matched: false,
-                cycles,
-                used_hd: false,
-                rotations: 0,
-            };
-        }
-        // Stage 2: crossbar wavefront.
-        let (matched, steps) = self.wavefront_within(segment, read, threshold);
-        cycles += steps;
-        MatchOutcome {
-            matched,
-            cycles,
-            used_hd: false,
-            rotations: 0,
-        }
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        // Stage 1 runs fully packed; only filter survivors (true pairs and
-        // near-misses, a small minority of a decoy-heavy sweep) pay the
-        // unpack for the base-indexed wavefront DP.
-        let mut cycles = 1u32;
-        if !self.filter_passes_packed(segment, read, threshold) {
             return MatchOutcome {
                 matched: false,
                 cycles,
@@ -274,10 +232,10 @@ mod tests {
     #[test]
     fn filter_passes_identical_and_blocks_random() {
         let resma = ResmaAccelerator::paper();
-        let a = GenomeModel::uniform().generate(128, 3);
-        let b = GenomeModel::uniform().generate(128, 4);
-        assert!(resma.filter_passes(a.as_slice(), a.as_slice(), 0));
-        assert!(!resma.filter_passes(a.as_slice(), b.as_slice(), 8));
+        let a = PackedSeq::from_seq(&GenomeModel::uniform().generate(128, 3));
+        let b = PackedSeq::from_seq(&GenomeModel::uniform().generate(128, 4));
+        assert!(resma.filter_passes(&a, &a, 0));
+        assert!(!resma.filter_passes(&a, &b, 8));
     }
 
     #[test]
@@ -289,8 +247,8 @@ mod tests {
         let mut bases = segment.clone().into_bases();
         bases[20] = bases[20].substituted(0);
         bases[90] = bases[90].substituted(1);
-        let read = DnaSeq::from_bases(bases);
-        assert!(ResmaAccelerator::paper().filter_passes(segment.as_slice(), read.as_slice(), 2));
+        let (segment, read) = (PackedSeq::from_seq(&segment), PackedSeq::from_bases(&bases));
+        assert!(ResmaAccelerator::paper().filter_passes(&segment, &read, 2));
     }
 
     #[test]
@@ -315,41 +273,10 @@ mod tests {
         bases.push(asmcap_genome::Base::A);
         let read = DnaSeq::from_bases(bases);
         let ed = edit_distance(segment.as_slice(), read.as_slice());
+        let (segment, read) = (PackedSeq::from_seq(&segment), PackedSeq::from_seq(&read));
         let mut resma = ResmaAccelerator::paper();
-        assert!(
-            resma
-                .matches(segment.as_slice(), read.as_slice(), ed)
-                .matched
-        );
-        assert!(
-            !resma
-                .matches(segment.as_slice(), read.as_slice(), ed - 1)
-                .matched
-        );
-    }
-
-    #[test]
-    fn packed_matcher_agrees_with_slice_matcher() {
-        let genome = GenomeModel::uniform().generate(2_000, 11);
-        let mut resma = ResmaAccelerator::paper();
-        let segment = genome.window(100..356);
-        let mut bases = segment.clone().into_bases();
-        bases.remove(30);
-        bases.push(asmcap_genome::Base::C);
-        bases[200] = bases[200].substituted(1);
-        let near = DnaSeq::from_bases(bases);
-        let decoy = GenomeModel::uniform().generate(256, 12);
-        for read in [&segment, &near, &decoy] {
-            for t in [0usize, 2, 8] {
-                let scalar = resma.matches(segment.as_slice(), read.as_slice(), t);
-                let packed = resma.matches_packed(
-                    &asmcap_genome::PackedSeq::from_seq(&segment),
-                    &asmcap_genome::PackedSeq::from_seq(read),
-                    t,
-                );
-                assert_eq!(scalar, packed, "T={t}");
-            }
-        }
+        assert!(resma.matches(&segment, &read, ed).matched);
+        assert!(!resma.matches(&segment, &read, ed - 1).matched);
     }
 
     proptest! {

@@ -14,8 +14,8 @@
 //! modelling: the losses are algorithmic.
 
 use asmcap::{AsmMatcher, MatchOutcome};
-use asmcap_genome::kmer::{pack_kmer, packed_kmers, KmerIndex};
-use asmcap_genome::{Base, PackedSeq, PackedWords};
+use asmcap_genome::kmer::{packed_kmers, KmerIndex};
+use asmcap_genome::{PackedSeq, PackedWords};
 use std::collections::HashMap;
 
 /// The SaVI functional model.
@@ -25,14 +25,14 @@ use std::collections::HashMap;
 /// ```
 /// use asmcap::AsmMatcher;
 /// use asmcap_baselines::SaviAccelerator;
-/// use asmcap_genome::GenomeModel;
+/// use asmcap_genome::{GenomeModel, PackedSeq};
 ///
 /// let genome = GenomeModel::uniform().generate(300, 1);
-/// let segment = genome.window(0..128);
+/// let segment = PackedSeq::from_seq(&genome.window(0..128));
 /// let mut savi = SaviAccelerator::paper();
-/// assert!(savi.matches(segment.as_slice(), segment.as_slice(), 0).matched);
-/// let decoy = genome.window(150..278);
-/// assert!(!savi.matches(decoy.as_slice(), segment.as_slice(), 4).matched);
+/// assert!(savi.matches(&segment, &segment, 0).matched);
+/// let decoy = PackedSeq::from_seq(&genome.window(150..278));
+/// assert!(!savi.matches(&decoy, &segment, 4).matched);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -77,34 +77,11 @@ impl SaviAccelerator {
     /// The vote profile of a pair: for every non-overlapping read seed that
     /// occurs exactly in the segment, the alignment offsets it votes for.
     /// Returns the vote count of the best `±tolerance` offset window.
+    ///
+    /// The segment is indexed through the packed k-mer roller and the
+    /// read's seeds are packed codes read straight out of the words.
     #[must_use]
-    pub fn best_vote_count(&self, segment: &[Base], read: &[Base], tolerance: usize) -> usize {
-        let k = self.seed_len;
-        if read.len() < k || segment.len() < k {
-            return 0;
-        }
-        let index = KmerIndex::build(segment, k).expect("seed length validated at construction");
-        // One vote per (seed, supported offset); a repeated seed votes for
-        // each hit (the TCAM reports all matching rows).
-        let mut votes: HashMap<isize, usize> = HashMap::new();
-        for seed_idx in 0..self.seed_count(read.len()) {
-            let read_pos = seed_idx * k;
-            let seed = pack_kmer(&read[read_pos..read_pos + k]);
-            for &segment_pos in index.positions_of_code(seed) {
-                let offset = segment_pos as isize - read_pos as isize;
-                *votes.entry(offset).or_insert(0) += 1;
-            }
-        }
-        // Best window of offsets within ±tolerance.
-        Self::best_window(&votes, tolerance)
-    }
-
-    /// [`SaviAccelerator::best_vote_count`] over 2-bit packed operands: the
-    /// segment is indexed through the packed k-mer roller and the read's
-    /// non-overlapping seeds are packed codes read straight out of the
-    /// words — identical votes, no byte-per-base walk.
-    #[must_use]
-    pub fn best_vote_count_packed<S: PackedWords, R: PackedWords>(
+    pub fn best_vote_count<S: PackedWords, R: PackedWords>(
         &self,
         segment: &S,
         read: &R,
@@ -116,6 +93,8 @@ impl SaviAccelerator {
         }
         let index =
             KmerIndex::build_packed(segment, k).expect("seed length validated at construction");
+        // One vote per (seed, supported offset); a repeated seed votes for
+        // each hit (the TCAM reports all matching rows).
         let mut votes: HashMap<isize, usize> = HashMap::new();
         // Non-overlapping seeds sit at read positions 0, k, 2k, …: keep
         // exactly those codes from the rolling packed scan.
@@ -146,30 +125,13 @@ impl SaviAccelerator {
 }
 
 impl AsmMatcher for SaviAccelerator {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
         let seeds = self.seed_count(read.len());
         let required = seeds.saturating_sub(threshold).max(1);
         let votes = self.best_vote_count(segment, read, threshold);
         MatchOutcome {
             matched: votes >= required,
             // One TCAM lookup cycle per seed plus one voting cycle.
-            cycles: seeds as u32 + 1,
-            used_hd: false,
-            rotations: 0,
-        }
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        let seeds = self.seed_count(read.len());
-        let required = seeds.saturating_sub(threshold).max(1);
-        let votes = self.best_vote_count_packed(segment, read, threshold);
-        MatchOutcome {
-            matched: votes >= required,
             cycles: seeds as u32 + 1,
             used_hd: false,
             rotations: 0,
@@ -184,13 +146,17 @@ impl AsmMatcher for SaviAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, ReadSampler};
+    use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
+
+    fn packed(bases: &[asmcap_genome::Base]) -> PackedSeq {
+        PackedSeq::from_bases(bases)
+    }
 
     #[test]
     fn identical_pair_gets_all_votes() {
         let savi = SaviAccelerator::paper();
-        let s = GenomeModel::uniform().generate(256, 1);
-        assert_eq!(savi.best_vote_count(s.as_slice(), s.as_slice(), 0), 16);
+        let s = packed(GenomeModel::uniform().generate(256, 1).as_slice());
+        assert_eq!(savi.best_vote_count(&s, &s, 0), 16);
     }
 
     #[test]
@@ -200,8 +166,7 @@ mod tests {
         let mut bases = s.clone().into_bases();
         bases[10] = bases[10].substituted(0); // seed 0
         bases[100] = bases[100].substituted(1); // seed 6
-        let read = DnaSeq::from_bases(bases);
-        let votes = savi.best_vote_count(s.as_slice(), read.as_slice(), 2);
+        let votes = savi.best_vote_count(&packed(s.as_slice()), &packed(&bases), 2);
         assert_eq!(votes, 14); // exactly two seeds lost
     }
 
@@ -213,10 +178,10 @@ mod tests {
         let mut bases = segment.clone().into_bases();
         bases.remove(50);
         bases.push(genome.as_slice()[256]);
-        let read = DnaSeq::from_bases(bases);
+        let (segment, read) = (packed(segment.as_slice()), packed(&bases));
         let savi = SaviAccelerator::paper();
-        let strict = savi.best_vote_count(segment.as_slice(), read.as_slice(), 0);
-        let tolerant = savi.best_vote_count(segment.as_slice(), read.as_slice(), 1);
+        let strict = savi.best_vote_count(&segment, &read, 0);
+        let tolerant = savi.best_vote_count(&segment, &read, 1);
         assert!(tolerant > strict, "offset window should merge split votes");
         assert!(tolerant >= 14);
     }
@@ -230,8 +195,8 @@ mod tests {
         let accepted = reads
             .iter()
             .filter(|r| {
-                let segment = r.aligned_segment(&genome);
-                savi.matches(segment.as_slice(), r.bases.as_slice(), 8)
+                let segment = packed(r.aligned_segment(&genome).as_slice());
+                savi.matches(&segment, &packed(r.bases.as_slice()), 8)
                     .matched
             })
             .count();
@@ -244,40 +209,18 @@ mod tests {
     #[test]
     fn matcher_rejects_decoys() {
         let mut savi = SaviAccelerator::paper();
-        let a = GenomeModel::uniform().generate(256, 6);
-        let b = GenomeModel::uniform().generate(256, 7);
+        let a = packed(GenomeModel::uniform().generate(256, 6).as_slice());
+        let b = packed(GenomeModel::uniform().generate(256, 7).as_slice());
         for t in [0usize, 4, 8, 16] {
-            assert!(!savi.matches(a.as_slice(), b.as_slice(), t).matched);
-        }
-    }
-
-    #[test]
-    fn packed_matcher_agrees_with_slice_matcher() {
-        let genome = GenomeModel::uniform().generate(20_000, 9);
-        let sampler = ReadSampler::new(256, ErrorProfile::condition_a());
-        let mut savi = SaviAccelerator::paper();
-        for (i, read) in sampler.sample_many(&genome, 12, 10).into_iter().enumerate() {
-            let segment = read.aligned_segment(&genome);
-            let decoy = genome.window(5_000 + i * 300..5_256 + i * 300);
-            for (seg, r) in [(&segment, &read.bases), (&decoy, &read.bases)] {
-                for t in [0usize, 4, 8] {
-                    let scalar = savi.matches(seg.as_slice(), r.as_slice(), t);
-                    let packed = savi.matches_packed(
-                        &asmcap_genome::PackedSeq::from_seq(seg),
-                        &asmcap_genome::PackedSeq::from_seq(r),
-                        t,
-                    );
-                    assert_eq!(scalar, packed, "pair {i} diverged at T={t}");
-                }
-            }
+            assert!(!savi.matches(&a, &b, t).matched);
         }
     }
 
     #[test]
     fn cycle_model_counts_seed_lookups() {
         let mut savi = SaviAccelerator::paper();
-        let s = GenomeModel::uniform().generate(256, 8);
-        let outcome = savi.matches(s.as_slice(), s.as_slice(), 0);
+        let s = packed(GenomeModel::uniform().generate(256, 8).as_slice());
+        let outcome = savi.matches(&s, &s, 0);
         assert_eq!(outcome.cycles, 17); // 16 lookups + 1 vote
     }
 }

@@ -3,7 +3,7 @@
 
 use asmcap::engine::fig7_engines;
 use asmcap::AsmMatcher;
-use asmcap_bench::pair;
+use asmcap_bench::{packed, pair};
 use asmcap_eval::{Condition, Fig7Config};
 use asmcap_genome::ErrorProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -11,17 +11,16 @@ use std::hint::black_box;
 
 fn bench_pair_decisions(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_pair_decision");
-    let (segment, read) = pair(256, ErrorProfile::condition_a());
+    let (segment, read) = packed(pair(256, ErrorProfile::condition_a()));
     let (mut edam, mut without, mut with) = fig7_engines(ErrorProfile::condition_a(), 1);
     group.bench_function("edam", |bencher| {
-        bencher.iter(|| edam.matches(black_box(segment.as_slice()), black_box(read.as_slice()), 4));
+        bencher.iter(|| edam.matches(black_box(&segment), black_box(&read), 4));
     });
     group.bench_function("asmcap_without", |bencher| {
-        bencher
-            .iter(|| without.matches(black_box(segment.as_slice()), black_box(read.as_slice()), 4));
+        bencher.iter(|| without.matches(black_box(&segment), black_box(&read), 4));
     });
     group.bench_function("asmcap_with_hdac_tasr", |bencher| {
-        bencher.iter(|| with.matches(black_box(segment.as_slice()), black_box(read.as_slice()), 4));
+        bencher.iter(|| with.matches(black_box(&segment), black_box(&read), 4));
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! extra HD search and TASR's rotated searches, at the decision level.
 
 use asmcap::{AsmMatcher, AsmcapConfig, HdacParams, TasrParams};
-use asmcap_bench::{decoy_pair, pair};
+use asmcap_bench::{decoy_pair, packed, pair};
 use asmcap_genome::ErrorProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -10,7 +10,7 @@ use std::hint::black_box;
 fn bench_hdac_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdac_overhead");
     let profile = ErrorProfile::condition_a();
-    let (segment, read) = pair(256, profile);
+    let (segment, read) = packed(pair(256, profile));
     let mut plain = AsmcapConfig::new(profile)
         .hdac(None)
         .tasr(None)
@@ -23,10 +23,10 @@ fn bench_hdac_overhead(c: &mut Criterion) {
         .build();
     // T=1: HDAC armed.
     group.bench_function("without", |bencher| {
-        bencher.iter(|| plain.matches(black_box(segment.as_slice()), read.as_slice(), 1));
+        bencher.iter(|| plain.matches(black_box(&segment), &read, 1));
     });
     group.bench_function("with_hd_search", |bencher| {
-        bencher.iter(|| hdac.matches(black_box(segment.as_slice()), read.as_slice(), 1));
+        bencher.iter(|| hdac.matches(black_box(&segment), &read, 1));
     });
     group.finish();
 }
@@ -36,7 +36,7 @@ fn bench_tasr_overhead(c: &mut Criterion) {
     let profile = ErrorProfile::condition_b();
     // Decoy pair: the base search misses, so TASR issues all rotations —
     // the worst case for the rotation loop.
-    let (segment, read) = decoy_pair(256);
+    let (segment, read) = packed(decoy_pair(256));
     let mut plain = AsmcapConfig::new(profile)
         .hdac(None)
         .tasr(None)
@@ -56,13 +56,13 @@ fn bench_tasr_overhead(c: &mut Criterion) {
         .seed(5)
         .build();
     group.bench_function("without", |bencher| {
-        bencher.iter(|| plain.matches(black_box(segment.as_slice()), read.as_slice(), 8));
+        bencher.iter(|| plain.matches(black_box(&segment), &read, 8));
     });
     group.bench_function("nr2", |bencher| {
-        bencher.iter(|| tasr2.matches(black_box(segment.as_slice()), read.as_slice(), 8));
+        bencher.iter(|| tasr2.matches(black_box(&segment), &read, 8));
     });
     group.bench_function("nr4", |bencher| {
-        bencher.iter(|| tasr4.matches(black_box(segment.as_slice()), read.as_slice(), 8));
+        bencher.iter(|| tasr4.matches(black_box(&segment), &read, 8));
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, ReadSampler, SampledRead};
+use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, PackedSeq, ReadSampler, SampledRead};
 
 /// A deterministic genome for benching.
 #[must_use]
@@ -32,4 +32,10 @@ pub fn decoy_pair(len: usize) -> (DnaSeq, DnaSeq) {
         GenomeModel::uniform().generate(len, 1),
         GenomeModel::uniform().generate(len, 2),
     )
+}
+
+/// A pair 2-bit packed once, for the benches that time matcher decisions.
+#[must_use]
+pub fn packed((a, b): (DnaSeq, DnaSeq)) -> (PackedSeq, PackedSeq) {
+    (PackedSeq::from_seq(&a), PackedSeq::from_seq(&b))
 }

@@ -341,7 +341,7 @@ impl DeviceBackend {
                 for amount in 1..=tasr.rotations {
                     let rotated: Vec<PackedSeq> = reads
                         .iter()
-                        .map(|read| tasr.schedule.rotated_packed(read, amount))
+                        .map(|read| tasr.schedule.rotated(read, amount))
                         .collect();
                     for (matched, result) in
                         matched.iter_mut().zip(search(&rotated, MatchMode::EdStar))
@@ -451,7 +451,7 @@ impl PairBackend {
         let mut max_cycles = 0u64;
         for &start in starts {
             let segment = self.reference.segment(start, self.width);
-            let outcome = engine.matches_packed(&segment, read, t);
+            let outcome = engine.decide(&segment, read, t);
             max_cycles = max_cycles.max(u64::from(outcome.cycles));
             if outcome.matched {
                 positions.push(start);

@@ -7,13 +7,17 @@
 //! accuracy sweeps (hundreds of thousands of pair decisions). The
 //! array-level path with identical semantics lives in
 //! [`crate::DeviceBackend`].
+//!
+//! Each engine has one decision procedure, `decide`, generic over any
+//! packed segment: [`crate::PairBackend`] calls it on zero-copy reference
+//! views and [`AsmMatcher::matches`] forwards owned packed segments to it.
 
 use crate::hdac::Hdac;
 use crate::matcher::{AsmMatcher, MatchOutcome};
 use crate::tasr::Tasr;
 use crate::Rng;
 use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, SenseAmp, VrefPolicy};
-use asmcap_genome::{Base, ErrorProfile, PackedSeq, PackedWords};
+use asmcap_genome::{ErrorProfile, PackedSeq, PackedWords};
 use asmcap_metrics::{ed_star_hamming_packed, ed_star_packed};
 
 /// The ASMCap engine: charge-domain sensing plus the HDAC and TASR
@@ -23,11 +27,11 @@ use asmcap_metrics::{ed_star_hamming_packed, ed_star_packed};
 ///
 /// ```
 /// use asmcap::{AsmcapEngine, AsmMatcher};
-/// use asmcap_genome::{DnaSeq, ErrorProfile};
+/// use asmcap_genome::{DnaSeq, ErrorProfile, PackedSeq};
 ///
 /// let mut engine = AsmcapEngine::paper(ErrorProfile::condition_a(), 1);
-/// let segment: DnaSeq = "ACGTACGTACGTACGT".parse()?;
-/// let outcome = engine.matches(segment.as_slice(), segment.as_slice(), 0);
+/// let segment = PackedSeq::from_seq(&"ACGTACGTACGTACGT".parse::<DnaSeq>()?);
+/// let outcome = engine.matches(&segment, &segment, 0);
 /// assert!(outcome.matched);
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
@@ -101,16 +105,15 @@ impl AsmcapEngine {
             .is_some_and(|t| t.active(read_len, threshold))
     }
 
-    /// One (segment, read, T) decision over packed operands — the
-    /// word-parallel fast path [`crate::PairBackend`] loops over segment
-    /// views with. Identical semantics, noise model, and RNG draw order to
-    /// [`AsmMatcher::matches`]; the scalar entry point delegates here, so
-    /// there is exactly one decision procedure.
+    /// One (segment, read, T) decision: the engine's only decision
+    /// procedure. [`crate::PairBackend`] calls it on reference segment
+    /// views, and [`AsmMatcher::matches`] forwards owned packed segments
+    /// here, so both draw the same RNG stream.
     ///
     /// # Panics
     ///
     /// Panics if `segment` and `read` lengths differ.
-    pub fn matches_packed<S: PackedWords>(
+    pub fn decide<S: PackedWords>(
         &mut self,
         segment: &S,
         read: &PackedSeq,
@@ -155,7 +158,7 @@ impl AsmcapEngine {
         if let Some(tasr) = self.tasr {
             let sense = &self.sense;
             let rng = &mut self.rng;
-            let (matched, issued) = tasr.run_packed(decision, read, threshold, |rotated| {
+            let (matched, issued) = tasr.run(decision, read, threshold, |rotated| {
                 sense.decide(ed_star_packed(segment, rotated), n, threshold, rng)
             });
             decision = matched;
@@ -173,21 +176,8 @@ impl AsmcapEngine {
 }
 
 impl AsmMatcher for AsmcapEngine {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        self.matches_packed(
-            &PackedSeq::from_bases(segment),
-            &PackedSeq::from_bases(read),
-            threshold,
-        )
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        AsmcapEngine::matches_packed(self, segment, read, threshold)
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
+        self.decide(segment, read, threshold)
     }
 
     fn name(&self) -> &str {
@@ -229,17 +219,14 @@ impl EdamEngine {
         &self.sense
     }
 
-    /// One (segment, read, T) decision over packed operands — the
-    /// word-parallel fast path the evaluation sweeps call via
-    /// [`AsmMatcher::matches_packed`]. Identical semantics, noise model,
-    /// and RNG draw order to [`AsmMatcher::matches`]; the scalar entry
-    /// point delegates here, so there is exactly one decision procedure
-    /// (the same single-procedure rule [`AsmcapEngine`] follows).
+    /// One (segment, read, T) decision: the engine's only decision
+    /// procedure, which [`AsmMatcher::matches`] forwards to (the same
+    /// single-procedure rule [`AsmcapEngine`] follows).
     ///
     /// # Panics
     ///
     /// Panics if `segment` and `read` lengths differ.
-    pub fn matches_packed<S: PackedWords>(
+    pub fn decide<S: PackedWords>(
         &mut self,
         segment: &S,
         read: &PackedSeq,
@@ -258,7 +245,7 @@ impl EdamEngine {
         if let Some(sr) = self.sr {
             let sense = &self.sense;
             let rng = &mut self.rng;
-            let (matched, issued) = sr.run_packed(decision, read, threshold, |rotated| {
+            let (matched, issued) = sr.run(decision, read, threshold, |rotated| {
                 sense.decide(ed_star_packed(segment, rotated), n, threshold, rng)
             });
             decision = matched;
@@ -275,21 +262,8 @@ impl EdamEngine {
 }
 
 impl AsmMatcher for EdamEngine {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        self.matches_packed(
-            &PackedSeq::from_bases(segment),
-            &PackedSeq::from_bases(read),
-            threshold,
-        )
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        EdamEngine::matches_packed(self, segment, read, threshold)
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
+        self.decide(segment, read, threshold)
     }
 
     fn name(&self) -> &str {
@@ -336,22 +310,26 @@ mod tests {
         s.parse().expect("valid test sequence")
     }
 
+    fn packed(s: &DnaSeq) -> PackedSeq {
+        PackedSeq::from_seq(s)
+    }
+
     #[test]
     fn identical_pair_always_matches() {
         let mut engine = AsmcapEngine::paper(ErrorProfile::condition_a(), 3);
-        let s = GenomeModel::uniform().generate(256, 1);
+        let s = packed(&GenomeModel::uniform().generate(256, 1));
         for t in 0..8 {
-            assert!(engine.matches(s.as_slice(), s.as_slice(), t).matched);
+            assert!(engine.matches(&s, &s, t).matched);
         }
     }
 
     #[test]
     fn random_pair_never_matches_at_small_t() {
         let mut engine = AsmcapEngine::paper(ErrorProfile::condition_a(), 4);
-        let a = GenomeModel::uniform().generate(256, 2);
-        let b = GenomeModel::uniform().generate(256, 3);
+        let a = packed(&GenomeModel::uniform().generate(256, 2));
+        let b = packed(&GenomeModel::uniform().generate(256, 3));
         for t in 0..8 {
-            assert!(!engine.matches(a.as_slice(), b.as_slice(), t).matched);
+            assert!(!engine.matches(&a, &b, t).matched);
         }
     }
 
@@ -359,9 +337,9 @@ mod tests {
     fn cycle_accounting_reflects_strategies() {
         let profile = ErrorProfile::condition_a();
         let mut engine = AsmcapEngine::paper(profile, 5);
-        let s = GenomeModel::uniform().generate(256, 4);
+        let s = packed(&GenomeModel::uniform().generate(256, 4));
         // Condition A, T=1: HDAC armed (+1 cycle), TASR gated off (T_l=52).
-        let outcome = engine.matches(s.as_slice(), s.as_slice(), 1);
+        let outcome = engine.matches(&s, &s, 1);
         assert_eq!(outcome.cycles, 2);
         assert!(outcome.used_hd);
         assert_eq!(outcome.rotations, 0);
@@ -370,7 +348,7 @@ mod tests {
         // rotations; HDAC disabled -> 1 cycle total.
         let profile_b = ErrorProfile::condition_b();
         let mut engine_b = AsmcapEngine::paper(profile_b, 6);
-        let outcome = engine_b.matches(s.as_slice(), s.as_slice(), 8);
+        let outcome = engine_b.matches(&s, &s, 8);
         assert_eq!(outcome.cycles, 1);
         assert!(!outcome.used_hd);
     }
@@ -380,9 +358,9 @@ mod tests {
         // Condition B, T >= T_l = 6, decoy pair: base misses, both rotations
         // issued and miss -> 3 cycles.
         let mut engine = AsmcapEngine::paper(ErrorProfile::condition_b(), 7);
-        let a = GenomeModel::uniform().generate(256, 5);
-        let b = GenomeModel::uniform().generate(256, 6);
-        let outcome = engine.matches(a.as_slice(), b.as_slice(), 8);
+        let a = packed(&GenomeModel::uniform().generate(256, 5));
+        let b = packed(&GenomeModel::uniform().generate(256, 6));
+        let outcome = engine.matches(&a, &b, 8);
         assert!(!outcome.matched);
         assert_eq!(outcome.rotations, 2);
         assert_eq!(outcome.cycles, 3);
@@ -398,6 +376,7 @@ mod tests {
         let t = 2usize;
         let ed = asmcap_metrics::edit_distance(segment.as_slice(), read.as_slice());
         assert!(ed > t, "ground truth must be negative, ED={ed}");
+        let (segment, read) = (packed(&segment), packed(&read));
         // Run many trials: with HDAC the false-positive rate must drop well
         // below the no-strategy engine's rate.
         let mut with = AsmcapEngine::paper(profile, 8);
@@ -408,14 +387,10 @@ mod tests {
             .build();
         let trials = 2000;
         let fp_with = (0..trials)
-            .filter(|_| with.matches(segment.as_slice(), read.as_slice(), t).matched)
+            .filter(|_| with.matches(&segment, &read, t).matched)
             .count();
         let fp_without = (0..trials)
-            .filter(|_| {
-                without
-                    .matches(segment.as_slice(), read.as_slice(), t)
-                    .matched
-            })
+            .filter(|_| without.matches(&segment, &read, t).matched)
             .count();
         assert!(
             (fp_with as f64) < 0.8 * fp_without as f64,
@@ -439,6 +414,7 @@ mod tests {
             genome.window(100..360).as_slice(),
         );
         assert!(ed <= t, "ground truth should be positive, ED={ed}");
+        let (segment, read) = (packed(&segment), packed(&read));
 
         let mut with = AsmcapEngine::paper(profile, 10);
         let mut without = crate::config::AsmcapConfig::new(profile)
@@ -446,21 +422,17 @@ mod tests {
             .tasr(None)
             .seed(11)
             .build();
-        assert!(with.matches(segment.as_slice(), read.as_slice(), t).matched);
-        assert!(
-            !without
-                .matches(segment.as_slice(), read.as_slice(), t)
-                .matched
-        );
+        assert!(with.matches(&segment, &read, t).matched);
+        assert!(!without.matches(&segment, &read, t).matched);
     }
 
     #[test]
     fn edam_engine_matches_clean_pairs() {
         let mut edam = EdamEngine::paper(12);
-        let s = GenomeModel::uniform().generate(256, 8);
-        assert!(edam.matches(s.as_slice(), s.as_slice(), 4).matched);
-        let decoy = GenomeModel::uniform().generate(256, 9);
-        assert!(!edam.matches(s.as_slice(), decoy.as_slice(), 4).matched);
+        let s = packed(&GenomeModel::uniform().generate(256, 8));
+        assert!(edam.matches(&s, &s, 4).matched);
+        let decoy = packed(&GenomeModel::uniform().generate(256, 9));
+        assert!(!edam.matches(&s, &decoy, 4).matched);
     }
 
     #[test]
@@ -490,21 +462,15 @@ mod tests {
         let noisy_read = DnaSeq::from_bases(bases);
         let star = asmcap_metrics::ed_star(segment.as_slice(), noisy_read.as_slice());
         let t = star.saturating_sub(2);
+        let (segment, noisy_read) = (packed(&segment), packed(&noisy_read));
         let mut edam = EdamEngine::paper(13);
         let mut asmcap = AsmcapEngine::without_strategies(14);
         let trials = 3000;
         let edam_fp = (0..trials)
-            .filter(|_| {
-                edam.matches(segment.as_slice(), noisy_read.as_slice(), t)
-                    .matched
-            })
+            .filter(|_| edam.matches(&segment, &noisy_read, t).matched)
             .count();
         let asmcap_fp = (0..trials)
-            .filter(|_| {
-                asmcap
-                    .matches(segment.as_slice(), noisy_read.as_slice(), t)
-                    .matched
-            })
+            .filter(|_| asmcap.matches(&segment, &noisy_read, t).matched)
             .count();
         assert!(
             edam_fp > asmcap_fp + trials / 50,
@@ -518,12 +484,10 @@ mod tests {
         let genome = GenomeModel::uniform().generate(600, 11);
         let a = genome.window(0..256);
         let b = genome.window(300..556);
+        let star = asmcap_metrics::ed_star(a.as_slice(), b.as_slice());
+        let (a, b) = (packed(&a), packed(&b));
         for t in [0usize, 4, 16, 64, 200] {
-            let star = asmcap_metrics::ed_star(a.as_slice(), b.as_slice());
-            assert_eq!(
-                engine.matches(a.as_slice(), b.as_slice(), t).matched,
-                star <= t
-            );
+            assert_eq!(engine.matches(&a, &b, t).matched, star <= t);
         }
     }
 

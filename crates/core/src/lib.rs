@@ -63,7 +63,10 @@
 //!
 //! The lower layers remain public for evaluation code: [`matcher`] (the
 //! [`AsmMatcher`] trait and reference matchers) and [`engine`]
-//! ([`AsmcapEngine`] / [`EdamEngine`] per-pair engines).
+//! ([`AsmcapEngine`] / [`EdamEngine`] per-pair engines). A matcher has one
+//! entry point, [`AsmMatcher::matches`], over 2-bit packed operands; each
+//! engine has one decision procedure, which [`PairBackend`] also calls on
+//! zero-copy reference views.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

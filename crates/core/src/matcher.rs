@@ -1,7 +1,12 @@
 //! The matcher abstraction: one (read, segment, threshold) decision.
+//!
+//! [`AsmMatcher`] has one decision method, [`AsmMatcher::matches`], over
+//! 2-bit packed operands, and every implementor has exactly one decision
+//! procedure behind it. Callers that hold base slices pack each pair once
+//! at the call site.
 
-use asmcap_genome::{Base, PackedSeq};
-use asmcap_metrics::{ed_star, ed_star_packed, edit_distance_banded, edit_distance_banded_packed};
+use asmcap_genome::PackedSeq;
+use asmcap_metrics::{ed_star_packed, edit_distance_banded_packed};
 
 /// Result of one match decision, with the cycle cost the decision incurred
 /// on the accelerator (1 for a plain search, +1 for an HDAC HD search, +1
@@ -37,40 +42,16 @@ impl MatchOutcome {
 /// `&mut self` because hardware matchers carry RNG state for their sensing
 /// noise; pure matchers simply ignore it.
 pub trait AsmMatcher {
-    /// One match decision.
+    /// One match decision over 2-bit packed operands. The evaluation
+    /// harness packs each pair exactly once and calls this (see
+    /// `asmcap_eval::EvalDataset::evaluate`); callers holding base slices
+    /// pack them with [`PackedSeq::from_seq`] or [`PackedSeq::from_bases`].
     ///
     /// # Panics
     ///
     /// Implementations panic if `segment` and `read` lengths differ (a CAM
     /// row is exactly as wide as the read).
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome;
-
-    /// [`AsmMatcher::matches`] over 2-bit packed operands — the entry
-    /// point the evaluation harness calls (it packs each pair exactly
-    /// once; see `asmcap_eval::EvalDataset::evaluate`).
-    ///
-    /// The default unpacks and forwards to [`AsmMatcher::matches`], so
-    /// every matcher stays correct with no extra code; packed-native
-    /// matchers (the engines, the baselines) override it to run the
-    /// word-parallel kernels directly. Overrides must make the **same
-    /// decision and draw the same RNG stream** as the slice path —
-    /// `tests/packed_equivalence.rs` pins this for the built-ins.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `segment` and `read` lengths differ.
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
-        self.matches(
-            segment.to_seq().as_slice(),
-            read.to_seq().as_slice(),
-            threshold,
-        )
-    }
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome;
 
     /// Short display name for reports.
     fn name(&self) -> &str;
@@ -86,12 +67,12 @@ pub trait AsmMatcher {
 ///
 /// ```
 /// use asmcap::{AsmMatcher, ExactEdMatcher};
-/// use asmcap_genome::DnaSeq;
+/// use asmcap_genome::{DnaSeq, PackedSeq};
 /// let mut oracle = ExactEdMatcher::new();
-/// let a: DnaSeq = "ACGTACGT".parse()?;
-/// let b: DnaSeq = "ACGAACGT".parse()?;
-/// assert!(oracle.matches(a.as_slice(), b.as_slice(), 1).matched);
-/// assert!(!oracle.matches(a.as_slice(), b.as_slice(), 0).matched);
+/// let a = PackedSeq::from_seq(&"ACGTACGT".parse::<DnaSeq>()?);
+/// let b = PackedSeq::from_seq(&"ACGAACGT".parse::<DnaSeq>()?);
+/// assert!(oracle.matches(&a, &b, 1).matched);
+/// assert!(!oracle.matches(&a, &b, 0).matched);
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -108,16 +89,7 @@ impl ExactEdMatcher {
 }
 
 impl AsmMatcher for ExactEdMatcher {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        MatchOutcome::plain(edit_distance_banded(segment, read, threshold).is_some())
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
         MatchOutcome::plain(edit_distance_banded_packed(segment, read, threshold).is_some())
     }
 
@@ -143,16 +115,7 @@ impl NoiselessEdStarMatcher {
 }
 
 impl AsmMatcher for NoiselessEdStarMatcher {
-    fn matches(&mut self, segment: &[Base], read: &[Base], threshold: usize) -> MatchOutcome {
-        MatchOutcome::plain(ed_star(segment, read) <= threshold)
-    }
-
-    fn matches_packed(
-        &mut self,
-        segment: &PackedSeq,
-        read: &PackedSeq,
-        threshold: usize,
-    ) -> MatchOutcome {
+    fn matches(&mut self, segment: &PackedSeq, read: &PackedSeq, threshold: usize) -> MatchOutcome {
         MatchOutcome::plain(ed_star_packed(segment, read) <= threshold)
     }
 
@@ -164,10 +127,9 @@ impl AsmMatcher for NoiselessEdStarMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asmcap_genome::DnaSeq;
 
-    fn seq(s: &str) -> DnaSeq {
-        s.parse().expect("valid test sequence")
+    fn seq(s: &str) -> PackedSeq {
+        PackedSeq::from_seq(&s.parse().expect("valid test sequence"))
     }
 
     #[test]
@@ -175,9 +137,9 @@ mod tests {
         let mut oracle = ExactEdMatcher::new();
         let a = seq("AGCTGAGA");
         let b = seq("ATCTGCGA"); // ED = 2
-        assert!(!oracle.matches(a.as_slice(), b.as_slice(), 1).matched);
-        assert!(oracle.matches(a.as_slice(), b.as_slice(), 2).matched);
-        assert_eq!(oracle.matches(a.as_slice(), b.as_slice(), 2).cycles, 1);
+        assert!(!oracle.matches(&a, &b, 1).matched);
+        assert!(oracle.matches(&a, &b, 2).matched);
+        assert_eq!(oracle.matches(&a, &b, 2).cycles, 1);
     }
 
     #[test]
@@ -185,17 +147,9 @@ mod tests {
         // Stored CAG vs read CGA: both substituted bases are found in the
         // neighbour windows, so ED* = 0 although ED = 2.
         let mut matcher = NoiselessEdStarMatcher::new();
-        assert!(
-            matcher
-                .matches(seq("CAG").as_slice(), seq("CGA").as_slice(), 0)
-                .matched
-        );
+        assert!(matcher.matches(&seq("CAG"), &seq("CGA"), 0).matched);
         let mut oracle = ExactEdMatcher::new();
-        assert!(
-            !oracle
-                .matches(seq("CAG").as_slice(), seq("CGA").as_slice(), 0)
-                .matched
-        );
+        assert!(!oracle.matches(&seq("CAG"), &seq("CGA"), 0).matched);
     }
 
     #[test]

@@ -909,24 +909,17 @@ impl AsmcapPipeline {
 
     /// [`AsmcapPipeline::map`] over an already packed read — the zero-repack
     /// entry point for callers that hold packed data (e.g. the long-read
-    /// fragmenter).
+    /// fragmenter). A batch of one through
+    /// [`AsmcapPipeline::map_batch_packed`], which runs a single tile
+    /// inline, so the record and stats equal the batch path's.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked while holding the stats lock.
+    /// Propagates panics from the backend.
     pub fn map_packed(&self, read: &PackedSeq) -> MapRecord {
-        // lint: timing-ok — wall_s is a stats field; decisions never read it.
-        let start = Instant::now();
-        // lint: relaxed-ok — a fresh-index ticket; no memory is published.
-        let index = self.counter.fetch_add(1, Ordering::Relaxed);
-        let record = self
-            .map_tile(std::slice::from_ref(read), &[index])
+        self.map_batch_packed(std::slice::from_ref(read))
             .pop()
-            .expect("one record per read");
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
-        stats.absorb(&record);
-        stats.wall_s += start.elapsed().as_secs_f64();
-        record
+            .expect("one record per read")
     }
 
     /// Maps a batch of reads across up to [`AsmcapPipeline::workers`]

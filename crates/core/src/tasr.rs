@@ -19,7 +19,7 @@
 //! (`e_id` high) or the threshold is loose enough to be safe.
 
 use asmcap_arch::registers::RotateDirection;
-use asmcap_genome::{Base, ErrorProfile, PackedSeq};
+use asmcap_genome::{ErrorProfile, PackedSeq};
 
 /// Which directions the rotated searches try.
 ///
@@ -61,28 +61,11 @@ impl RotationSchedule {
         }
     }
 
-    /// Applies the `i`-th rotation to a read.
-    #[must_use]
-    pub fn rotated(&self, read: &[Base], i: usize) -> Vec<Base> {
-        let (direction, amount) = self.step(i);
-        let mut out = read.to_vec();
-        if out.is_empty() {
-            return out;
-        }
-        let amount = amount % out.len();
-        match direction {
-            RotateDirection::Left => out.rotate_left(amount),
-            RotateDirection::Right => out.rotate_right(amount),
-        }
-        out
-    }
-
     /// Applies the `i`-th rotation to a packed read — the word-level
     /// equivalent of the shift-register file rotating `amount` positions in
-    /// `direction`, producing the same sequence [`RotationSchedule::rotated`]
-    /// yields on bases.
+    /// `direction`.
     #[must_use]
-    pub fn rotated_packed(&self, read: &PackedSeq, i: usize) -> PackedSeq {
+    pub fn rotated(&self, read: &PackedSeq, i: usize) -> PackedSeq {
         let (direction, amount) = self.step(i);
         match direction {
             RotateDirection::Left => read.rotated_left(amount),
@@ -203,58 +186,21 @@ impl Tasr {
     ///
     /// The caller supplies the original read's decision as `base` (the
     /// `i = 0` iteration of the paper's loop) and a `decide` closure that
-    /// performs one search — on the pair engine or on the real device.
+    /// performs one search on a rotated read. Rotations are applied
+    /// word-parallel.
     pub fn run(
-        &self,
-        base: bool,
-        read: &[Base],
-        threshold: usize,
-        mut decide: impl FnMut(&[Base]) -> bool,
-    ) -> (bool, u32) {
-        self.run_loop(
-            base,
-            read.len(),
-            threshold,
-            |schedule, i| schedule.rotated(read, i),
-            |rotated| decide(rotated),
-        )
-    }
-
-    /// [`Tasr::run`] over a packed read: identical gating, rotation
-    /// schedule, and early exit, with rotations applied word-parallel.
-    pub fn run_packed(
         &self,
         base: bool,
         read: &PackedSeq,
         threshold: usize,
         mut decide: impl FnMut(&PackedSeq) -> bool,
     ) -> (bool, u32) {
-        self.run_loop(
-            base,
-            read.len(),
-            threshold,
-            |schedule, i| schedule.rotated_packed(read, i),
-            |rotated| decide(rotated),
-        )
-    }
-
-    /// The one Algorithm-2 loop both representations share: gate on
-    /// `(read_len, threshold)`, rotate per the schedule, early-exit on the
-    /// first match.
-    fn run_loop<T>(
-        &self,
-        base: bool,
-        read_len: usize,
-        threshold: usize,
-        rotate: impl Fn(&RotationSchedule, usize) -> T,
-        mut decide: impl FnMut(&T) -> bool,
-    ) -> (bool, u32) {
-        if base || !self.active(read_len, threshold) {
+        if base || !self.active(read.len(), threshold) {
             return (base, 0);
         }
         let mut issued = 0u32;
         for i in 1..=self.params.rotations {
-            let rotated = rotate(&self.params.schedule, i);
+            let rotated = self.params.schedule.rotated(read, i);
             issued += 1;
             if decide(&rotated) {
                 return (true, issued);
@@ -268,7 +214,7 @@ impl Tasr {
 mod tests {
     use super::*;
     use asmcap_genome::{DnaSeq, GenomeModel};
-    use asmcap_metrics::ed_star;
+    use asmcap_metrics::{ed_star, ed_star_packed};
 
     #[test]
     fn paper_constants() {
@@ -325,8 +271,9 @@ mod tests {
         let original = ed_star(stored.as_slice(), read.as_slice());
         assert!(original > 10, "expected a blown-up ED*, got {original}");
         let schedule = RotationSchedule::Alternate;
+        let (stored, read) = (PackedSeq::from_seq(&stored), PackedSeq::from_seq(&read));
         let best_rotated = (1..=2)
-            .map(|i| ed_star(stored.as_slice(), &schedule.rotated(read.as_slice(), i)))
+            .map(|i| ed_star_packed(&stored, &schedule.rotated(&read, i)))
             .min()
             .unwrap();
         assert!(
@@ -338,18 +285,18 @@ mod tests {
     #[test]
     fn run_early_exits_and_counts_cycles() {
         let tasr = Tasr::new(TasrParams::paper(), ErrorProfile::condition_b());
-        let read: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
+        let read = PackedSeq::from_seq(&"ACGTACGTACGTACGT".parse().unwrap());
         // Base already matched: no rotations issued.
-        let (matched, issued) = tasr.run(true, read.as_slice(), 16, |_| false);
+        let (matched, issued) = tasr.run(true, &read, 16, |_| false);
         assert!(matched);
         assert_eq!(issued, 0);
         // Gate passes (T=16 >= T_l for 16-base read in condition B? T_l =
         // ceil(2e-4/0.01*16) = 1); first rotation matches -> 1 cycle.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 16, |_| true);
+        let (matched, issued) = tasr.run(false, &read, 16, |_| true);
         assert!(matched);
         assert_eq!(issued, 1);
         // Nothing matches -> N_R cycles.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 16, |_| false);
+        let (matched, issued) = tasr.run(false, &read, 16, |_| false);
         assert!(!matched);
         assert_eq!(issued, 2);
     }
@@ -357,11 +304,10 @@ mod tests {
     #[test]
     fn run_respects_the_gate() {
         let tasr = Tasr::new(TasrParams::paper(), ErrorProfile::condition_a());
-        let read: DnaSeq = "ACGT".repeat(64).parse().unwrap();
+        let read = PackedSeq::from_seq(&"ACGT".repeat(64).parse().unwrap());
         // Condition A, T=1 < T_l=52: the decide closure must never be called.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 1, |_| {
-            panic!("rotation ran despite the gate")
-        });
+        let (matched, issued) =
+            tasr.run(false, &read, 1, |_| panic!("rotation ran despite the gate"));
         assert!(!matched);
         assert_eq!(issued, 0);
     }

@@ -75,7 +75,7 @@ pub struct MappingRecovery {
 ///
 /// Every (segment, read) pair is 2-bit packed **once** at build time:
 /// [`EvalDataset::evaluate`] scores matchers through
-/// [`AsmMatcher::matches_packed`], so a Fig. 7 sweep (engines × thresholds
+/// [`AsmMatcher::matches`], so a Fig. 7 sweep (engines × thresholds
 /// × pairs) never re-packs or re-walks a byte-per-base slice — the
 /// "packed everywhere else" port of the eval harness.
 #[derive(Debug, Clone)]
@@ -197,11 +197,8 @@ impl EvalDataset {
     }
 
     /// Scores a matcher over every pair at one threshold, through the
-    /// packed pairs cached at build time ([`AsmMatcher::matches_packed`]).
-    /// Decisions are identical to the byte-per-base path — the engines'
-    /// packed overrides are pinned byte-identical, and the trait default
-    /// unpacks — so F1 scores are unchanged; only the per-pair walk cost
-    /// drops.
+    /// packed pairs cached at build time ([`AsmMatcher::matches`]), so no
+    /// pair is re-packed per matcher or per threshold.
     pub fn evaluate(
         &self,
         matcher: &mut dyn AsmMatcher,
@@ -212,7 +209,7 @@ impl EvalDataset {
         let mut hd = 0u64;
         let mut rotations = 0u64;
         for (index, (segment, read)) in self.packed_pairs.iter().enumerate() {
-            let outcome = matcher.matches_packed(segment, read, threshold);
+            let outcome = matcher.matches(segment, read, threshold);
             cm.record(self.ground_truth(index, threshold), outcome.matched);
             cycles += u64::from(outcome.cycles);
             hd += u64::from(outcome.used_hd);

@@ -6,7 +6,7 @@
 //!
 //! The whole sweep runs on the packed matchplane: the dataset packs every
 //! (segment, read) pair once and [`EvalDataset::evaluate`] scores each
-//! engine through `AsmMatcher::matches_packed`, so engines × thresholds ×
+//! engine through `AsmMatcher::matches`, so engines × thresholds ×
 //! pairs costs no byte-per-base walks and no per-decision re-packing.
 
 use crate::dataset::{Condition, CycleStats, EvalDataset};

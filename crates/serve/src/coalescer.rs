@@ -3,7 +3,7 @@
 //!
 //! The [`Coalescer`] is the server's admission point. Reader threads
 //! [`Coalescer::offer`] one [`Pending`] request at a time; the single
-//! executor thread blocks in [`Coalescer::next_batch`] until a batch is
+//! executor thread blocks in [`Coalescer::next_drain`] until a batch is
 //! worth draining, then runs it through the pipeline. Three policies live
 //! here:
 //!
@@ -47,7 +47,7 @@ pub struct CoalescerConfig {
     /// Queue depth at which full-scan-fallback reads start being refused
     /// with [`Admission::Shed`]. Set `>= queue_cap` to disable shedding.
     pub shed_watermark: usize,
-    /// Largest batch [`Coalescer::next_batch`] assembles.
+    /// Largest batch [`Coalescer::next_drain`] assembles.
     pub batch_max: usize,
     /// How long a partial batch may wait for company before it is flushed
     /// anyway. Bounds queueing latency under light load.
@@ -215,19 +215,6 @@ impl<T> Coalescer<T> {
         Admission::Enqueued
     }
 
-    /// Blocks until a batch is ready and returns it, or `None` once the
-    /// coalescer is closed **and** drained. Convenience wrapper over
-    /// [`Coalescer::next_drain`] for deadline-free configurations; with a
-    /// deadline configured, expired requests are **discarded** here — use
-    /// `next_drain` so they can be answered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a thread panicked while holding the queue lock.
-    pub fn next_batch(&self) -> Option<Vec<Pending<T>>> {
-        self.next_drain().map(|drain| drain.batch)
-    }
-
     /// Blocks until a batch is ready and returns it together with any
     /// deadline-expired requests, or `None` once the coalescer is closed
     /// **and** drained (requests queued before [`Coalescer::close`] still
@@ -273,7 +260,7 @@ impl<T> Coalescer<T> {
     }
 
     /// Closes the queue: future offers get [`Admission::Closed`], blocked
-    /// [`Coalescer::next_batch`] callers drain what is queued and then
+    /// [`Coalescer::next_drain`] callers drain what is queued and then
     /// observe `None`.
     ///
     /// # Panics
@@ -411,7 +398,7 @@ mod tests {
         }
         assert_eq!(c.offer(pending(2, 100), || false), Admission::Enqueued);
         assert_eq!(c.offer(pending(3, 200), || false), Admission::Enqueued);
-        let batch = c.next_batch().expect("batch ready");
+        let batch = c.next_drain().expect("batch ready").batch;
         let clients: Vec<u64> = batch.iter().map(|p| p.client).collect();
         // One per client per round: 1, 2, 3, then back to 1.
         assert_eq!(clients, vec![1, 2, 3, 1]);
@@ -420,7 +407,7 @@ mod tests {
         assert_eq!(batch[3].req_id, 1); // lint: index-ok — asserted 4 long above
                                         // The next batch resumes after client 1: 2 and 3 are drained, so
                                         // client 1's remaining reads flow.
-        let batch = c.next_batch().expect("second batch ready");
+        let batch = c.next_drain().expect("second batch ready").batch;
         let ids: Vec<u64> = batch.iter().map(|p| p.req_id).collect();
         assert_eq!(ids, vec![2, 3, 4, 5]);
     }
@@ -430,7 +417,7 @@ mod tests {
         let c: Coalescer<()> = Coalescer::new(config(64, 64, 1000));
         assert_eq!(c.offer(pending(1, 7), || false), Admission::Enqueued);
         let start = Instant::now();
-        let batch = c.next_batch().expect("flush fires");
+        let batch = c.next_drain().expect("flush fires").batch;
         assert_eq!(batch.len(), 1);
         assert!(start.elapsed() >= Duration::from_millis(4));
     }
@@ -471,7 +458,7 @@ mod tests {
         assert_eq!(c.offer(pending(1, 0), || false), Admission::Enqueued);
         c.close();
         assert_eq!(c.offer(pending(1, 1), || false), Admission::Closed);
-        assert_eq!(c.next_batch().expect("drain queued work").len(), 1);
-        assert!(c.next_batch().is_none());
+        assert_eq!(c.next_drain().expect("drain queued work").batch.len(), 1);
+        assert!(c.next_drain().is_none());
     }
 }

@@ -13,7 +13,7 @@
 //!   reader never panics on hostile input (the workspace lint polices
 //!   this crate's panic surface).
 //! - **Executor thread** (exactly one) — blocks in
-//!   [`Coalescer::next_batch`], maps each batch in one
+//!   [`Coalescer::next_drain`], maps each batch in one
 //!   [`AsmcapPipeline::map_batch_packed_indexed`] call (array-by-array
 //!   batched sensing on the device backend), and writes each reply to its
 //!   connection.

@@ -211,7 +211,7 @@ fn batch_assembly_is_fair_and_order_preserving_per_client() {
         assert!(matches!(admission, Admission::Enqueued));
     }
     coalescer.close();
-    let batch = coalescer.next_batch().expect("one final batch");
+    let batch = coalescer.next_drain().expect("one final batch").batch;
     let order: Vec<(u64, u64)> = batch.iter().map(|p| (p.client, p.req_id)).collect();
     // Round-robin rounds: (1,2,3) then (1,2) then 1 then 1.
     assert_eq!(
@@ -226,7 +226,7 @@ fn batch_assembly_is_fair_and_order_preserving_per_client() {
             (1, 13)
         ]
     );
-    assert!(coalescer.next_batch().is_none(), "closed and drained");
+    assert!(coalescer.next_drain().is_none(), "closed and drained");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p asmcap-workspace --example quickstart`
 
 use asmcap::{AsmMatcher, AsmcapEngine, AsmcapPipeline, PipelineConfig};
-use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
+use asmcap_genome::{ErrorProfile, GenomeModel, PackedSeq, ReadSampler};
 
 fn main() {
     // 1. A synthetic reference genome (stand-in for an NCBI sequence).
@@ -25,10 +25,10 @@ fn main() {
     );
 
     // 3. Pair-level decision with the full ASMCap engine (the layer the
-    //    pipeline's PairBackend wraps).
-    let segment = read.aligned_segment(&genome);
+    //    pipeline's PairBackend wraps), over 2-bit packed operands.
+    let segment = PackedSeq::from_seq(&read.aligned_segment(&genome));
     let mut engine = AsmcapEngine::paper(profile, 1);
-    let outcome = engine.matches(segment.as_slice(), read.bases.as_slice(), 8);
+    let outcome = engine.matches(&segment, &PackedSeq::from_seq(&read.bases), 8);
     println!(
         "engine decision vs true segment at T=8: {} ({} cycles)",
         if outcome.matched { "match" } else { "no match" },

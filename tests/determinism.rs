@@ -62,13 +62,13 @@ fn pipelines_are_reproducible_per_seed() {
 #[test]
 fn engines_are_reproducible_per_seed() {
     use asmcap::{AsmMatcher, AsmcapEngine};
-    use asmcap_genome::{ErrorProfile, GenomeModel};
-    let s = GenomeModel::uniform().generate(256, 1);
-    let d = GenomeModel::uniform().generate(256, 2);
+    use asmcap_genome::{ErrorProfile, GenomeModel, PackedSeq};
+    let s = PackedSeq::from_seq(&GenomeModel::uniform().generate(256, 1));
+    let d = PackedSeq::from_seq(&GenomeModel::uniform().generate(256, 2));
     let run = |seed: u64| {
         let mut engine = AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
         (0..50)
-            .map(|t| engine.matches(s.as_slice(), d.as_slice(), t % 16).matched)
+            .map(|t| engine.matches(&s, &d, t % 16).matched)
             .collect::<Vec<_>>()
     };
     assert_eq!(run(5), run(5));

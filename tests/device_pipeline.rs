@@ -4,7 +4,7 @@
 
 use asmcap::{AsmcapPipeline, PipelineConfig};
 use asmcap_arch::{CamArray, MatchMode};
-use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, ReadSampler};
+use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, PackedSeq, ReadSampler};
 
 fn device_pipeline(genome: &DnaSeq, config: PipelineConfig) -> AsmcapPipeline {
     AsmcapPipeline::builder()
@@ -122,14 +122,15 @@ fn engine_and_pipeline_agree_on_clean_decisions() {
     );
 
     // Exact copy: both must match at T=4.
-    let outcome = engine.matches(segment.as_slice(), segment.as_slice(), 4);
+    let packed_segment = PackedSeq::from_seq(&segment);
+    let outcome = engine.matches(&packed_segment, &packed_segment, 4);
     assert!(outcome.matched);
     let record = pipeline.map(&segment);
     assert!(record.positions.contains(&100));
 
     // Unrelated read: both must reject.
     let decoy = GenomeModel::uniform().generate(width, 99);
-    let outcome = engine.matches(segment.as_slice(), decoy.as_slice(), 4);
+    let outcome = engine.matches(&packed_segment, &PackedSeq::from_seq(&decoy), 4);
     assert!(!outcome.matched);
     let record = pipeline.map(&decoy);
     assert!(record.positions.is_empty());

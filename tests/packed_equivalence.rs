@@ -345,9 +345,11 @@ fn fault_on_is_deterministic_across_worker_counts() {
     );
 }
 
-/// The engine's scalar `matches` delegates to `matches_packed`; a fresh
-/// engine fed slices and a fresh engine fed packed segment views of the
-/// same reference walk identical RNG streams and return identical outcomes.
+/// The engine's one decision procedure takes any packed operand: a fresh
+/// engine fed owned `PackedSeq` segments through `AsmMatcher::matches` and
+/// a fresh engine fed zero-copy segment views through `decide` (the call
+/// `PairBackend` makes) walk identical RNG streams and return identical
+/// outcomes.
 #[test]
 fn engine_scalar_and_packed_paths_are_interchangeable() {
     let genome = GenomeModel::uniform().generate(4_096, 7);
@@ -355,16 +357,16 @@ fn engine_scalar_and_packed_paths_are_interchangeable() {
     let sampler = ReadSampler::new(WIDTH, ErrorProfile::condition_b());
     for (i, read) in sampler.sample_many(&genome, 6, 13).into_iter().enumerate() {
         let seed = 1000 + i as u64;
-        let mut scalar = asmcap::AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
-        let mut packed = asmcap::AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
+        let mut owned = asmcap::AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
+        let mut viewed = asmcap::AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
         let packed_read = PackedSeq::from_seq(&read.bases);
         for start in (0..=genome.len() - WIDTH).step_by(197) {
-            let slice = &genome.as_slice()[start..start + WIDTH];
+            let segment = PackedSeq::from_bases(&genome.as_slice()[start..start + WIDTH]);
             let view = packed_ref.segment(start, WIDTH);
             for t in [2usize, 8] {
                 assert_eq!(
-                    scalar.matches(slice, read.bases.as_slice(), t),
-                    packed.matches_packed(&view, &packed_read, t),
+                    owned.matches(&segment, &packed_read, t),
+                    viewed.decide(&view, &packed_read, t),
                     "engine diverged at segment {start}, T={t}"
                 );
             }

@@ -3,7 +3,7 @@
 
 use asmcap::{AsmMatcher, AsmcapEngine, ExactEdMatcher, NoiselessEdStarMatcher};
 use asmcap_arch::{CamArray, MatchMode};
-use asmcap_genome::{Base, DnaSeq, ErrorProfile};
+use asmcap_genome::{Base, DnaSeq, ErrorProfile, PackedSeq};
 use proptest::prelude::*;
 
 fn arbitrary_seq(len: std::ops::Range<usize>) -> impl Strategy<Value = DnaSeq> {
@@ -46,14 +46,15 @@ proptest! {
         t in 0usize..16,
         seed in 0u64..100
     ) {
+        let (segment, read) = (PackedSeq::from_seq(&segment), PackedSeq::from_seq(&read));
         let mut engine = AsmcapEngine::paper(ErrorProfile::condition_a(), seed);
-        let outcome = engine.matches(segment.as_slice(), read.as_slice(), t);
+        let outcome = engine.matches(&segment, &read, t);
         prop_assert_eq!(
             u64::from(outcome.cycles),
             1 + u64::from(outcome.used_hd) + u64::from(outcome.rotations)
         );
         let mut engine_b = AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
-        let outcome = engine_b.matches(segment.as_slice(), read.as_slice(), t);
+        let outcome = engine_b.matches(&segment, &read, t);
         prop_assert_eq!(
             u64::from(outcome.cycles),
             1 + u64::from(outcome.used_hd) + u64::from(outcome.rotations)
@@ -64,71 +65,40 @@ proptest! {
     /// matches at T it matches at every T' >= T.
     #[test]
     fn noiseless_decisions_monotone_in_threshold((segment, read) in equal_length_pair(100)) {
+        let (segment, read) = (PackedSeq::from_seq(&segment), PackedSeq::from_seq(&read));
         let mut matcher = NoiselessEdStarMatcher::new();
         let mut previous = false;
         for t in 0..segment.len() {
-            let matched = matcher.matches(segment.as_slice(), read.as_slice(), t).matched;
+            let matched = matcher.matches(&segment, &read, t).matched;
             prop_assert!(!previous || matched, "match lost when raising T to {t}");
             previous = matched;
         }
         // At T = len the pair always matches (ED* <= len).
-        prop_assert!(matcher.matches(segment.as_slice(), read.as_slice(), segment.len()).matched);
+        prop_assert!(matcher.matches(&segment, &read, segment.len()).matched);
     }
 
-    /// The exact-ED oracle agrees with the ReSMA wavefront and the CM-CPU
-    /// banded DP on every pair and threshold.
+    /// The exact-ED oracle, the ReSMA wavefront and the CM-CPU banded DP
+    /// all agree with the full (unbanded) edit-distance DP on every pair and
+    /// threshold.
     #[test]
     fn exact_matchers_agree((segment, read) in equal_length_pair(80), t in 0usize..12) {
+        let expected = asmcap_metrics::edit_distance(segment.as_slice(), read.as_slice()) <= t;
+        let (segment, read) = (PackedSeq::from_seq(&segment), PackedSeq::from_seq(&read));
         let mut oracle = ExactEdMatcher::new();
         let mut resma = asmcap_baselines::ResmaAccelerator::with_filter_k(4);
         let mut cpu = asmcap_baselines::CmCpuAligner::new();
-        let expected = oracle.matches(segment.as_slice(), read.as_slice(), t).matched;
-        prop_assert_eq!(
-            cpu.matches(segment.as_slice(), read.as_slice(), t).matched,
-            expected
-        );
+        prop_assert_eq!(oracle.matches(&segment, &read, t).matched, expected);
+        prop_assert_eq!(cpu.matches(&segment, &read, t).matched, expected);
         // ReSMA's wavefront is exact whenever the filter passes; with a
         // 4-base filter at these lengths a filter miss implies a large
         // distance, so disagreement is only allowed in the no-match
         // direction.
-        let resma_says = resma.matches(segment.as_slice(), read.as_slice(), t).matched;
+        let resma_says = resma.matches(&segment, &read, t).matched;
         if resma_says != expected {
             prop_assert!(!resma_says, "ReSMA may only under-match via its filter");
             prop_assert!(
-                !resma.filter_passes(segment.as_slice(), read.as_slice(), t),
+                !resma.filter_passes(&segment, &read, t),
                 "wavefront disagreed with the oracle despite a filter hit"
-            );
-        }
-    }
-
-    /// Every matcher's packed entry point makes the same decision as its
-    /// slice path: the baselines' overrides (SaVI's packed seed votes,
-    /// ReSMA's packed filter, CM-CPU's packed banded DP, Kraken's word
-    /// compare) and the reference matchers' overrides are all pure
-    /// representation changes.
-    #[test]
-    fn packed_matcher_overrides_agree_with_slice_paths(
-        (segment, read) in equal_length_pair(200),
-        t in 0usize..10
-    ) {
-        let ps = asmcap_genome::PackedSeq::from_seq(&segment);
-        let pr = asmcap_genome::PackedSeq::from_seq(&read);
-        let mut matchers: Vec<Box<dyn AsmMatcher>> = vec![
-            Box::new(ExactEdMatcher::new()),
-            Box::new(NoiselessEdStarMatcher::new()),
-            Box::new(asmcap_baselines::CmCpuAligner::new()),
-            Box::new(asmcap_baselines::ResmaAccelerator::with_filter_k(4)),
-            Box::new(asmcap_baselines::SaviAccelerator::with_seed_len(8)),
-            Box::new(asmcap_baselines::KrakenClassifier::new(
-                asmcap_baselines::KrakenMode::Exact,
-            )),
-        ];
-        for matcher in &mut matchers {
-            prop_assert_eq!(
-                matcher.matches(segment.as_slice(), read.as_slice(), t),
-                matcher.matches_packed(&ps, &pr, t),
-                "{} diverged between slice and packed paths",
-                matcher.name()
             );
         }
     }
@@ -217,26 +187,6 @@ proptest! {
         let pr = asmcap_genome::PackedSeq::from_seq(&read);
         prop_assert_eq!(count(MatchMode::EdStar), asmcap_metrics::ed_star_packed(&ps, &pr));
         prop_assert_eq!(count(MatchMode::Hamming), asmcap_metrics::hamming_packed(&ps, &pr));
-    }
-
-    /// The engine makes the same noisy decision whether it is handed slices
-    /// or packed operands: the packed path preserves the RNG draw order.
-    #[test]
-    fn engine_packed_path_preserves_decisions(
-        (segment, read) in equal_length_pair(150),
-        t in 0usize..12,
-        seed in 0u64..50
-    ) {
-        let mut scalar = AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
-        let mut packed = AsmcapEngine::paper(ErrorProfile::condition_b(), seed);
-        prop_assert_eq!(
-            scalar.matches(segment.as_slice(), read.as_slice(), t),
-            packed.matches_packed(
-                &asmcap_genome::PackedSeq::from_seq(&segment),
-                &asmcap_genome::PackedSeq::from_seq(&read),
-                t
-            )
-        );
     }
 
     /// Packed k-mer extraction is a pure representation change: rolling the
